@@ -17,14 +17,13 @@ VALUE_BYTES = VALUE_BITS // 8
 
 _SPREAD_MASK_21 = 0x1FFFFF
 
-# powers of two for exact per-element bit lengths (values < 2**63)
-_POW2 = np.array([1 << k for k in range(63)], dtype=np.uint64)
-
 
 def bit_length(values: np.ndarray) -> np.ndarray:
-    """Per-element bit length of nonnegative integers (bit_length(0) == 0)."""
-    v = np.asarray(values, dtype=np.uint64)
-    return np.searchsorted(_POW2, v, side="right").astype(np.int64)
+    """Per-element bit length of nonnegative integers below 2**53 (bit_length(0) == 0).
+
+    Such values are exact in float64, whose binary exponent is the bit length.
+    """
+    return np.frexp(np.asarray(values, dtype=np.float64))[1].astype(np.int64)
 
 
 def limb_bit_length(limbs: np.ndarray) -> np.ndarray:
@@ -108,8 +107,17 @@ def sort_order(limbs: np.ndarray, q: int) -> np.ndarray:
     if 3 * q <= 63:
         key = m0 | (m1 << np.uint64(24)) | (m2 << np.uint64(48))
         return np.argsort(key, kind="stable")
-    lo = m0 | (m1 << np.uint64(24))
-    return np.lexsort((lo, m2))
+    # Wider codes: stable-sort the top 64 bits, then rank them densely and
+    # re-sort (rank, low 8 bits).  That key fits 32 bits and is already in
+    # order outside runs of equal tops, so the second sort is nearly free;
+    # both sorts are stable, so equal codes keep input order.
+    top = (m2 << np.uint64(40)) | (m1 << np.uint64(16)) | (m0 >> np.uint64(8))
+    order = np.argsort(top, kind="stable")
+    ranked = top[order]
+    rank = np.zeros(len(ranked), dtype=np.int64)
+    np.cumsum(ranked[1:] != ranked[:-1], out=rank[1:])
+    low8 = limbs[order, 2].astype(np.int64) & 0xFF
+    return order[np.argsort((rank << 8) | low8, kind="stable")]
 
 
 def delta_limbs(limbs: np.ndarray) -> np.ndarray:
@@ -134,26 +142,21 @@ def delta_limbs(limbs: np.ndarray) -> np.ndarray:
 def cumsum_limbs(first: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """Rebuild sorted codes from the first code and the deltas.
 
-    The running sum is done on a flattened 72-bit integer split as
-    low 48 bits / high 24 bits, which int64 cumsum handles exactly for
-    any code count below 2**15 carries.
+    Each 24-bit limb column is summed on its own, so every running sum stays
+    below 2**48 for up to 2**24 codes and int64 cumsum is exact; carries
+    then ripple from the low limb up.  The top limb is left unmasked so the
+    caller can detect a sum past 72 bits.
     """
-    n = len(deltas) + 1
-    limbs = np.empty((n, 3), dtype=np.int64)
-    lo = np.empty(n, dtype=np.int64)  # bits 0..47
-    hi = np.empty(n, dtype=np.int64)  # bits 48..71
-    lo[0] = int(first[2]) | (int(first[1]) << LIMB_BITS)
-    hi[0] = int(first[0])
-    if n > 1:
-        lo[1:] = deltas[:, 2] | (deltas[:, 1] << LIMB_BITS)
-        hi[1:] = deltas[:, 0]
-    lo = np.cumsum(lo)
-    carry = lo >> 48
-    lo &= (1 << 48) - 1
-    hi = np.cumsum(hi) + carry
-    limbs[:, 2] = lo & LIMB_MASK
-    limbs[:, 1] = lo >> LIMB_BITS
-    limbs[:, 0] = hi
+    limbs = np.empty((len(deltas) + 1, 3), dtype=np.int64)
+    limbs[0] = first
+    limbs[1:] = deltas
+    sums = np.cumsum(limbs, axis=0)
+    carry = 0
+    for k in (2, 1):
+        col = sums[:, k] + carry
+        carry = col >> LIMB_BITS
+        limbs[:, k] = col & LIMB_MASK
+    limbs[:, 0] = sums[:, 0] + carry
     return limbs
 
 
@@ -180,13 +183,14 @@ def to_bit_matrix(limbs: np.ndarray) -> np.ndarray:
     by = np.empty((n, VALUE_BYTES), dtype=np.uint8)
     by[:, 0] = limbs[:, 0] >> 16
     by[:, 1:] = low64.astype(">u8").view(np.uint8).reshape(n, 8)
-    return np.unpackbits(by, axis=1)
+    # rows are whole bytes, so the flat (much faster) form is row for row
+    return np.unpackbits(by.reshape(-1)).reshape(n, VALUE_BITS)
 
 
 def from_bit_matrix(bits: np.ndarray) -> np.ndarray:
     """(n, 72) bit matrix -> (n, 3) limbs."""
-    by = np.packbits(bits, axis=1)
     n = len(bits)
+    by = np.packbits(bits.reshape(-1)).reshape(n, VALUE_BYTES)
     low64 = np.ascontiguousarray(by[:, 1:]).view(">u8").reshape(n).astype(np.uint64)
     limbs = np.empty((n, 3), dtype=np.int64)
     limbs[:, 2] = (low64 & np.uint64(LIMB_MASK)).astype(np.int64)
@@ -202,7 +206,7 @@ def pack_uint(values: np.ndarray, width: int) -> bytes:
     if width > 32:
         raise ValueError(f"pack_uint supports widths up to 32, got {width}")
     by = values.astype(">u4").view(np.uint8).reshape(len(values), 4)
-    bits = np.unpackbits(by, axis=1)[:, 32 - width :]
+    bits = np.unpackbits(by.reshape(-1)).reshape(len(values), 32)[:, 32 - width :]
     return np.packbits(bits.ravel()).tobytes()
 
 
@@ -216,8 +220,7 @@ def unpack_uint(data: bytes, width: int, count: int) -> np.ndarray:
         raise ValueError(f"bit stream truncated: need {need} bits, have {len(raw) * 8}")
     bits = np.zeros((count, 32), dtype=np.uint8)
     bits[:, 32 - width :] = np.unpackbits(raw, count=need).reshape(count, width)
-    by = np.packbits(bits, axis=1)
-    return np.ascontiguousarray(by).view(">u4").reshape(count).astype(np.int64)
+    return np.packbits(bits.reshape(-1)).view(">u4").astype(np.int64)
 
 
 def pack_width(bits: np.ndarray, width: int) -> bytes:
@@ -233,13 +236,13 @@ def unpack_width(data: bytes, width: int, count: int) -> np.ndarray:
 
     Raises ValueError when `data` is too short for count * width bits.
     """
-    out = np.zeros((count, VALUE_BITS), dtype=np.uint8)
-    if width == 0 or count == 0:
-        return out
     need = count * width
     raw = np.frombuffer(data, dtype=np.uint8)
     if len(raw) * 8 < need:
         raise ValueError(f"bit stream truncated: need {need} bits, have {len(raw) * 8}")
+    out = np.zeros((count, VALUE_BITS), dtype=np.uint8)
+    if need == 0:
+        return out
     u = np.unpackbits(raw, count=need).reshape(count, width)
     out[:, VALUE_BITS - width :] = u
     return out

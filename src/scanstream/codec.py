@@ -8,6 +8,15 @@ knob c in [0, 9] enables progressively finer block-adaptive widths for the
 delta stream; candidates are always raced against each other and the
 smallest encoding wins, so payload size is nonincreasing in c.
 
+Encoding runs in two stages, as Draco quantizes and orders before it
+entropy codes.  The geometry stage depends only on (scan, q): bounding
+box, quantization, Morton codes, sort, deltas and their widths, the
+permutation stream and the delta bit matrix.  The packing stage runs per
+c: it picks the delta stream plan and writes the delta stream and the
+payload header.  `encode_efforts` runs the geometry once for many c;
+`encode` is its one-c case.  Since c only changes how the deltas are
+packed, every c at one q decodes to the same points.
+
 Payload layout (after the unit wire header, little endian):
 
     u32 n_points | u32 n_valid | first_code[9] (72-bit big endian)
@@ -149,8 +158,8 @@ def _f32_bbox(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.concatenate([lo32, hi32]).astype(np.float32)
 
 
-def _coding_bbox(scan: PointCloudScan, config: CompressionConfig) -> np.ndarray:
-    if config.tight_bbox:
+def _coding_bbox(scan: PointCloudScan, tight_bbox: bool) -> np.ndarray:
+    if tight_bbox:
         return _f32_bbox(scan.points.min(axis=0), scan.points.max(axis=0))
     return _f32_bbox(DEFAULT_BBOX[:3], DEFAULT_BBOX[3:])
 
@@ -179,17 +188,23 @@ def _dequantize(ix: np.ndarray, iy: np.ndarray, iz: np.ndarray, bbox: np.ndarray
     return lo + (idx + 0.5) * cell
 
 
-def _delta_stream_plan(widths: np.ndarray, c: int) -> tuple[int, int, int, np.ndarray | None]:
-    """Race the packing candidates allowed at effort c.
+_Plan = tuple[int, int, int, "np.ndarray | None"]
 
-    Returns (delta_mode, global_width, block_log2, block_widths); sizes are
-    exact encoded byte counts, ties go to the earlier (simpler) candidate.
+
+def _delta_stream_plans(widths: np.ndarray, cs: list[int]) -> list[_Plan]:
+    """Race the packing candidates allowed at each effort in cs.
+
+    Effort c admits the global width plus the first min(c, 6) block sizes.
+    Each candidate is sized once; returns one (delta_mode, global_width,
+    block_log2, block_widths) per c.  Sizes are exact encoded byte counts,
+    ties go to the earlier (simpler) candidate.
     """
     m = len(widths)
     global_w = int(widths.max(initial=0))
     best_bytes = (m * global_w + 7) // 8
     best = (0, global_w, 0, None)
-    for block in _BLOCK_SIZES[: min(c, len(_BLOCK_SIZES))]:
+    winners = [best]  # winners[k]: best plan among the first k block sizes
+    for block in _BLOCK_SIZES[: min(max(cs, default=0), len(_BLOCK_SIZES))]:
         if m == 0:
             break
         starts = np.arange(0, m, block)
@@ -199,19 +214,34 @@ def _delta_stream_plan(widths: np.ndarray, c: int) -> tuple[int, int, int, np.nd
         if nbytes < best_bytes:
             best_bytes = nbytes
             best = (1, 0, int(block).bit_length() - 1, bw)
-    return best
+        winners.append(best)
+    return [winners[min(c, len(winners) - 1)] for c in cs]
 
 
-def encode(scan: PointCloudScan, config: CompressionConfig) -> EncodedUnit:
-    """Compress a scan; raises OutOfRangeError for points outside the bbox."""
-    config.validate()
+@dataclass
+class _Geometry:
+    """Geometry stage output for one (scan, q): everything but the delta stream."""
+
+    scan_id: int
+    bbox: np.ndarray
+    n: int
+    n_valid: int
+    first: bytes  # first sorted code, 72-bit big endian
+    perm_mode: int
+    perm_bytes: bytes
+    widths: np.ndarray  # bit length of each delta
+    bits: np.ndarray  # (n - 1, 72) delta bit matrix
+
+
+def _geometry(scan: PointCloudScan, q: int, tight_bbox: bool) -> _Geometry:
+    """Quantize, Morton code and sort a scan; build the perm stream and delta bits."""
     n = scan.n_points
     if n > MAX_POINTS:
         raise ConfigError(f"scan has {n} points, codec limit is {MAX_POINTS}")
-    bbox = _coding_bbox(scan, config)
-    ix, iy, iz = _quantize(scan.points, bbox, config.q)
-    codes = bitpack.morton_encode(ix, iy, iz, config.q)
-    order = bitpack.sort_order(codes, config.q)
+    bbox = _coding_bbox(scan, tight_bbox)
+    ix, iy, iz = _quantize(scan.points, bbox, q)
+    codes = bitpack.morton_encode(ix, iy, iz, q)
+    order = bitpack.sort_order(codes, q)
     sorted_codes = codes[order]
     deltas = bitpack.delta_limbs(sorted_codes)
     widths = bitpack.limb_bit_length(deltas) if len(deltas) else np.zeros(0, dtype=np.int64)
@@ -224,8 +254,17 @@ def encode(scan: PointCloudScan, config: CompressionConfig) -> EncodedUnit:
         pw = int(n - 1).bit_length()
         perm_bytes = bitpack.pack_uint(order, pw)
 
-    delta_mode, global_w, block_log2, block_widths = _delta_stream_plan(widths, config.c)
     bits = bitpack.to_bit_matrix(deltas) if len(deltas) else np.zeros((0, 72), dtype=np.uint8)
+    first = bitpack.limbs_to_int(sorted_codes[0]).to_bytes(9, "big")
+    return _Geometry(
+        scan.scan_id, bbox, n, scan.n_valid, first, perm_mode, perm_bytes, widths, bits
+    )
+
+
+def _pack(geom: _Geometry, plan: _Plan) -> bytes:
+    """Packing stage: the payload for one delta stream plan."""
+    delta_mode, global_w, block_log2, block_widths = plan
+    bits = geom.bits
     if delta_mode == 0:
         width_bytes = b""
         delta_bytes = bitpack.pack_width(bits, global_w)
@@ -243,18 +282,39 @@ def encode(scan: PointCloudScan, config: CompressionConfig) -> EncodedUnit:
         else:
             delta_bytes = b""
 
-    first = sorted_codes[0] if n else np.zeros(3, dtype=np.int64)
     meta = _PAYLOAD_META.pack(
-        n,
-        scan.n_valid,
-        bitpack.limbs_to_int(first).to_bytes(9, "big"),
-        perm_mode,
-        delta_mode,
-        global_w,
-        block_log2,
+        geom.n, geom.n_valid, geom.first, geom.perm_mode, delta_mode, global_w, block_log2
     )
-    payload = meta + perm_bytes + width_bytes + delta_bytes
-    return EncodedUnit(scan_id=scan.scan_id, q=config.q, c=config.c, bbox=bbox, payload=payload)
+    return meta + geom.perm_bytes + width_bytes + delta_bytes
+
+
+def encode_efforts(
+    scan: PointCloudScan, q: int, cs: list[int], tight_bbox: bool = False
+) -> list[EncodedUnit]:
+    """Compress a scan at quantization q once per packing effort in cs.
+
+    The geometry stage runs once; each effort only replans and repacks the
+    delta stream, and efforts that choose the same plan share its payload.
+    Unit k equals encode(scan, CompressionConfig(q, cs[k], tight_bbox)).
+    """
+    for c in cs:
+        CompressionConfig(q, c, tight_bbox).validate()
+    geom = _geometry(scan, q, tight_bbox)
+    units = []
+    payloads: dict[tuple[int, int, int], bytes] = {}
+    for c, plan in zip(cs, _delta_stream_plans(geom.widths, cs)):
+        key = plan[:3]
+        if key not in payloads:
+            payloads[key] = _pack(geom, plan)
+        units.append(
+            EncodedUnit(scan_id=geom.scan_id, q=q, c=c, bbox=geom.bbox, payload=payloads[key])
+        )
+    return units
+
+
+def encode(scan: PointCloudScan, config: CompressionConfig) -> EncodedUnit:
+    """Compress a scan; raises OutOfRangeError for points outside the bbox."""
+    return encode_efforts(scan, config.q, [config.c], config.tight_bbox)[0]
 
 
 def decode(unit: EncodedUnit) -> PointCloudScan:
@@ -274,9 +334,8 @@ def decode(unit: EncodedUnit) -> PointCloudScan:
         raise DecodeError("unknown stream mode")
     pos = _PAYLOAD_META.size
 
-    if perm_mode == 0:
-        order = np.arange(n, dtype=np.int64)
-    else:
+    order = None  # identity
+    if perm_mode == 1:
         pw = int(n - 1).bit_length()
         nbytes = (n * pw + 7) // 8
         try:
@@ -335,8 +394,10 @@ def decode(unit: EncodedUnit) -> PointCloudScan:
 
     ix, iy, iz = bitpack.morton_decode(sorted_codes, unit.q)
     pts_sorted = _dequantize(ix, iy, iz, bbox, unit.q)
-    points = np.empty((n, 3), dtype=np.float64)
-    points[order] = pts_sorted
+    points = pts_sorted
+    if order is not None:
+        points = np.empty((n, 3), dtype=np.float64)
+        points[order] = pts_sorted
     return PointCloudScan(points=points, scan_id=unit.scan_id, timestamp=0.0, n_valid=n_valid)
 
 

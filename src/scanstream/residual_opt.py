@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codec
-from .codec import C_MAX, C_MIN, Q_MAX, Q_MIN, CompressionConfig, PointCloudScan
+from .codec import C_MAX, C_MIN, Q_MAX, Q_MIN, PointCloudScan
 from .predictor import ConfigFloor, ConfigGrid, RateSample
 
 TABLE_FORMAT = "scanstream-residual-table-v1"
@@ -90,19 +90,22 @@ def _corpus_fingerprint(corpus: list[PointCloudScan]) -> str:
     return f"{len(corpus)}x{corpus[0].n_points}-{h.hexdigest()[:12]}"
 
 
-def _sweep_config(corpus: list[PointCloudScan], q: int, c: int, scan_hz: float, tight_bbox: bool):
-    cfg = CompressionConfig(q=q, c=c, tight_bbox=tight_bbox)
-    stats = []
-    for scan in corpus:
-        unit = codec.encode(scan, cfg)
-        res = codec.residual(scan, codec.decode(unit))
-        stats.append((res.mean_ptp, res.max_ptp, res.l2_norm, unit.payload_bits * scan_hz))
-    return q, c, stats
-
-
 def _sweep_column(args):
+    """Stats per scan for every c at one q, from one encode and decode per scan.
+
+    Each c only repacks the same geometry, so every c decodes to the same
+    points: the residual of one unit stands for the column, while each rate
+    is that c's real payload size.
+    """
     corpus, q, c_values, scan_hz, tight_bbox = args
-    return [_sweep_config(corpus, q, c, scan_hz, tight_bbox) for c in c_values]
+    stats = {c: [] for c in c_values}
+    for scan in corpus:
+        units = codec.encode_efforts(scan, q, c_values, tight_bbox)
+        res = codec.residual(scan, codec.decode(units[0]))
+        for unit in units:
+            bps = unit.payload_bits * scan_hz
+            stats[unit.c].append((res.mean_ptp, res.max_ptp, res.l2_norm, bps))
+    return [(q, c, stats[c]) for c in c_values]
 
 
 def calibrate_detailed(

@@ -43,6 +43,20 @@ def test_sort_order_sorts_codes(q, n):
     assert values == sorted(values)
 
 
+@given(q=st.integers(1, 24), n=st.integers(1, 1000), cells=st.integers(1, 40))
+def test_sort_order_is_stable_with_ties(q, n, cells):
+    # few distinct codes, so most of them tie; they differ only in the top
+    # two and the low eight bits, so wide codes also tie on their top 64 bits
+    rng = np.random.default_rng(q * 1000 + n)
+    highs = rng.integers(0, 4, size=cells)
+    lows = rng.integers(0, 256, size=cells)
+    pool = [((int(h) << (3 * q - 2)) | int(lo)) % (1 << (3 * q)) for h, lo in zip(highs, lows)]
+    values = [pool[i] for i in rng.integers(0, cells, size=n)]
+    limbs = np.array([bitpack.int_to_limbs(v) for v in values], dtype=np.int64)
+    expected = sorted(range(n), key=lambda i: values[i])
+    assert bitpack.sort_order(limbs, q).tolist() == expected
+
+
 @given(q=st.integers(1, 24), n=st.integers(2, 200))
 def test_delta_cumsum_roundtrip(q, n):
     ix, iy, iz = coords(q, n)
@@ -51,6 +65,16 @@ def test_delta_cumsum_roundtrip(q, n):
     deltas = bitpack.delta_limbs(limbs)
     back = bitpack.cumsum_limbs(limbs[0], deltas)
     assert np.array_equal(limbs, back)
+
+
+def test_cumsum_exact_for_many_wide_deltas():
+    # 2**16 deltas near 2**72 / n would overflow a 48-bit-part int64 cumsum
+    n = 1 << 16
+    step = ((1 << 72) - 1) // n
+    deltas = np.tile(bitpack.int_to_limbs(step), (n - 1, 1))
+    codes = bitpack.cumsum_limbs(bitpack.int_to_limbs(5), deltas)
+    for k in (0, 1, n // 2, n - 1):
+        assert bitpack.limbs_to_int(codes[k]) == 5 + k * step
 
 
 def test_limb_int_roundtrip():

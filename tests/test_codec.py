@@ -1,4 +1,6 @@
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from scanstream.codec import (
     PointCloudScan,
     decode,
     encode,
+    encode_efforts,
     pack_unit,
     pad_scan,
     residual,
@@ -62,6 +65,14 @@ def test_roundtrip_error_bounded_by_cell(q, c, seed):
     assert out.scan_id == scan.scan_id
 
 
+def test_roundtrip_exact_past_int64_cumsum_range():
+    # 70k deltas of up to 72 bits sum past 2**63 when summed as 48-bit parts
+    scan = make_scan(70_000, 3)
+    stats = residual(scan, decode(encode(scan, CompressionConfig(24, 0))))
+    cell = (DEFAULT_BBOX[3] - DEFAULT_BBOX[0]) / (2**24 - 1)
+    assert stats.max_ptp <= (math.sqrt(3.0) / 2.0) * cell * (1.0 + 1e-6) + 1e-9
+
+
 def test_decoded_points_sorted_not_original_order():
     # the codec reorders points; residual matching must still pair correctly
     scan = make_scan(256, 3)
@@ -74,6 +85,36 @@ def test_encode_deterministic():
     scan = make_scan(1024, 5)
     cfg = CompressionConfig(14, 3)
     assert encode(scan, cfg).payload == encode(scan, cfg).payload
+
+
+def test_encode_efforts_matches_encode_per_config():
+    scan = make_scan(1500, 17, scan_id=4)
+    for q in (8, 13, 21, 22, 24):
+        for tight in (False, True):
+            cs = [9, 0, 3, 6, 7]
+            units = encode_efforts(scan, q, cs, tight)
+            assert [u.c for u in units] == cs
+            for unit in units:
+                ref = encode(scan, CompressionConfig(q, unit.c, tight_bbox=tight))
+                assert (unit.scan_id, unit.q) == (ref.scan_id, ref.q)
+                assert np.array_equal(unit.bbox, ref.bbox)
+                assert unit.payload == ref.payload
+
+
+def test_encode_efforts_rejects_bad_effort():
+    with pytest.raises(ConfigError):
+        encode_efforts(make_scan(16, 1), 12, [0, 10])
+
+
+def test_decode_independent_of_effort():
+    # c only changes how the deltas are packed, so the calibration sweep may
+    # decode one unit per (scan, q) and share its residual across every c
+    scan = make_scan(2048, 23)
+    for q in range(8, 25):
+        first, *rest = [decode(u) for u in encode_efforts(scan, q, list(range(10)))]
+        for out in rest:
+            assert out.n_valid == first.n_valid
+            assert np.array_equal(out.points, first.points)
 
 
 def test_payload_nondecreasing_in_q():
@@ -145,6 +186,21 @@ def test_decode_rejects_truncated_payload():
     unit.payload = unit.payload[: len(unit.payload) // 2]
     with pytest.raises(DecodeError):
         decode(unit)
+
+
+def test_decode_checks_length_before_allocating():
+    # a bare 21-byte header claiming 2**24 points of 8-bit deltas
+    payload = struct.pack("<II9sBBBB", 1 << 24, 1, bytes(9), 0, 0, 8, 0)
+    unit = encode(make_scan(16, 2), CompressionConfig(12, 0))
+    unit.payload = payload
+    tracemalloc.start()
+    try:
+        with pytest.raises(DecodeError):
+            decode(unit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # ----------------------------------------------------------- input guards

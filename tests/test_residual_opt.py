@@ -70,6 +70,15 @@ def test_samples_feed_the_fitter(small_calibration):
     assert model.diagnostics["rel_rmse"] < 0.15
 
 
+def test_parallel_calibration_matches_serial():
+    corpus = generate_corpus(SensorProfile(rings=16, azimuth_steps=448), seed=5, n_scans=2)
+    serial = calibrate_detailed(corpus, scan_hz=10.0, n_jobs=1)
+    parallel = calibrate_detailed(corpus, scan_hz=10.0, n_jobs=2)
+    assert parallel[0].rows == serial[0].rows
+    assert parallel[1] == serial[1]
+    assert parallel[0].corpus_id == serial[0].corpus_id
+
+
 def test_worst_aggregate_upper_bounds_mean():
     corpus = generate_corpus(SMALL, seed=8, n_scans=3)
     mean_t = calibrate(corpus, aggregate="mean")
