@@ -149,6 +149,7 @@ class _Runner:
         self._heap: list = []
         self._counter = 0
         self._next_pace: float | None = None
+        self._pace_pending: set[float] = set()  # instants with a pace event in the heap
         self.now = 0.0
 
         self.originals: dict[int, PointCloudScan] = {}
@@ -175,13 +176,30 @@ class _Runner:
         self._counter += 1
 
     def _schedule_pace_wake(self) -> None:
+        """Schedule a pace event at the sender's next send opportunity.
+
+        At most one pace event exists per instant.  A second one would be a
+        no-op (pace events at one instant pop back to back, and pacing again
+        at the same `now` changes nothing), yet it resets `_next_pace` and
+        pushes its own successor, so duplicates would breed: ~90 pace calls
+        per packet at small MTUs.  Superseded wakes at *distinct* instants
+        still fire: each refills the token bucket at that moment's rate, and
+        the output depends on it.
+
+        Trap: never skip a pace event because a feedback or scan handler
+        already paced at its instant.  That call saw `_next_pace == now`
+        and pushed nothing; only the pace event resets `_next_pace`, and
+        without it the sender stalls.
+        """
         wake = self.sender.next_send_opportunity(self.now)
         if wake is None:
             return
         if self._next_pace is not None and wake >= self._next_pace - 1e-12:
             return
         self._next_pace = wake
-        self._push(wake, _PACE, "pace")
+        if wake not in self._pace_pending:
+            self._pace_pending.add(wake)
+            self._push(wake, _PACE, "pace")
 
     # -------------------------------------------------------------- handlers
 
@@ -210,6 +228,11 @@ class _Runner:
                 self._push(at, _ARRIVAL, "arrival", delivered)
         if self.sender.blocked_reason == "pacing":
             self._schedule_pace_wake()
+
+    def _on_pace(self, _payload) -> None:
+        self._pace_pending.remove(self.now)
+        self._next_pace = None
+        self._pace()
 
     def _consume_sender_drops(self) -> None:
         log = self.sender.drop_log
@@ -285,7 +308,7 @@ class _Runner:
         self.sender.reconcile_inflight(self.cc, report.highest_acked_seq)
         self._pace()
 
-    def _on_fb_timer(self) -> None:
+    def _on_fb_timer(self, _payload) -> None:
         self._emit_feedback()
         nxt = self.now + self.sc.transport.feedback_interval
         if nxt <= self.sc.duration + 1e-9:
@@ -352,6 +375,8 @@ class _Runner:
             "feedback": self._on_feedback,
             "scan": self._on_scan,
             "metrics": self._on_metrics,
+            "pace": self._on_pace,
+            "fb_timer": self._on_fb_timer,
         }
         pending_arrivals = 0
         while self._heap:
@@ -361,13 +386,7 @@ class _Runner:
                     pending_arrivals += 1
                 continue
             self.now = t
-            if kind == "pace":
-                self._next_pace = None
-                self._pace()
-            elif kind == "fb_timer":
-                self._on_fb_timer()
-            else:
-                handlers[kind](payload)
+            handlers[kind](payload)
 
         self._finalize(pending_arrivals)
         return self.rows, self.summary

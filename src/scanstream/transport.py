@@ -1,11 +1,13 @@
 """Paced datagram transport: fragmentation, sender queue, reassembly, feedback.
 
 The sender fragments serialized scan units into MTU-sized packets, admits
-each packet through the congestion window gate, and smooths emission with a
-sliding-window pacing limiter: every packet send checks the bytes emitted in
-the trailing pacing window, which bounds the bytes inside *any* window of
-that length (the window anchored at the latest send inside an arbitrary
-interval contains all of that interval's sends).
+each packet through the congestion window gate, and paces emission with a
+token bucket under a window budget.  The bucket refills at headroom x the
+pacing rate and holds one packet, so packets leave spread out rather than
+in clumps.  The budget caps the bytes sent in the trailing pacing window,
+which bounds the bytes inside *any* window of that length (the window
+anchored at the latest send inside an arbitrary interval contains all of
+that interval's sends).  Both gates bind in practice.
 
 There is no retransmission.  Late or lost scan data is worthless to the
 consumer, so loss surfaces as missing scans plus controller backoff.
@@ -147,7 +149,6 @@ class DropRecord:
 class _QueuedUnit:
     scan_id: int
     blob: bytes
-    enqueue_time: float
 
 
 @dataclass
@@ -177,7 +178,10 @@ class DatagramSender:
         self._tokens = 0.0
         self._token_stamp: float | None = None
         self._pace_wake = 0.0
-        self._inflight: dict[int, int] = {}  # seq -> wire bytes, for exact BIF accounting
+        # (seq, wire bytes) of every packet not yet acked or known lost, in
+        # seq order, and their running total: exact BIF accounting
+        self._inflight: deque[tuple[int, int]] = deque()
+        self._inflight_bytes = 0
 
     # ------------------------------------------------------------- queueing
 
@@ -188,7 +192,7 @@ class DatagramSender:
             victim = self.queue.popleft()
             self.queue_bytes -= len(victim.blob)
             self.drop_log.append(DropRecord(now, victim.scan_id, len(victim.blob)))
-        self.queue.append(_QueuedUnit(unit.scan_id, blob, now))
+        self.queue.append(_QueuedUnit(unit.scan_id, blob))
         self.queue_bytes += len(blob)
 
     @property
@@ -198,11 +202,6 @@ class DatagramSender:
     @property
     def scans_dropped(self) -> int:
         return len(self.drop_log)
-
-    def head_age(self, now: float) -> float:
-        if not self.queue:
-            return 0.0
-        return now - self.queue[0].enqueue_time
 
     # -------------------------------------------------------------- sending
 
@@ -290,7 +289,8 @@ class DatagramSender:
             self._window.append((now, wire))
             self._window_bytes += wire
             self._tokens -= wire
-            self._inflight[pkt.seq] = wire
+            self._inflight.append((pkt.seq, wire))
+            self._inflight_bytes += wire
             if cc_state is not None:
                 cc_state.bytes_in_flight += wire
             frame.sent_bytes += len(payload)
@@ -315,10 +315,13 @@ class DatagramSender:
         The link delivers in order, so every seq at or below the highest
         acked one has either arrived (acked) or been dropped; both must
         leave the in-flight count or losses would inflate it forever.
+        Seqs enter the ledger in ascending order, so they leave from its
+        front and a report costs O(seqs it settles).
         """
-        for seq in [s for s in self._inflight if s <= highest_acked_seq]:
-            del self._inflight[seq]
-        cc_state.bytes_in_flight = sum(self._inflight.values())
+        inflight = self._inflight
+        while inflight and inflight[0][0] <= highest_acked_seq:
+            self._inflight_bytes -= inflight.popleft()[1]
+        cc_state.bytes_in_flight = self._inflight_bytes
 
 
 @dataclass
@@ -339,7 +342,6 @@ class DatagramReceiver:
         self.cumulative_ce_bytes = 0
         self.cumulative_lost_packets = 0
         self.duplicate_packets = 0
-        self.malformed_datagrams = 0
         self.malformed_units = 0
         self.delivered_scans = 0
         self.newest_send_time = 0.0
@@ -348,14 +350,6 @@ class DatagramReceiver:
         self.last_report_time = 0.0
         self._partial: dict[int, _PartialScan] = {}
         self._delivered: set[int] = set()
-
-    def receive_datagram(self, raw: bytes, now: float) -> EncodedUnit | None:
-        try:
-            pkt = unpack_packet(raw)
-        except WireFormatError:
-            self.malformed_datagrams += 1
-            return None
-        return self.receive_packet(pkt, now)
 
     def receive_packet(self, pkt: Packet, now: float) -> EncodedUnit | None:
         """Account one arrival; returns the reassembled unit when complete.

@@ -8,15 +8,20 @@ can charge each criterion with the real cost of producing what it checks.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from scanstream.pipeline import run_scenario
+from scanstream.congestion import ControlParams
+from scanstream.netem import LinkConfig, random_walk_trace
+from scanstream.pipeline import _Runner, run_scenario
 from scanstream.predictor import fit, save_model
 from scanstream.residual_opt import calibrate_detailed, min_rate, write_table
 from scanstream.scangen import SensorProfile, generate_corpus
-from scanstream.scenario import load_scenario
+from scanstream.scenario import Scenario, ScanSourceConfig, load_scenario
+from scanstream.transport import DatagramSender, TransportParams
 
 settings.register_profile(
     "suite",
@@ -40,6 +45,8 @@ R_MAX_BPS = 10.0e6
 FIXTURE_WALL: dict[str, float] = {}
 # every closed-loop RunResult the suite produces, for the conservation check
 RUN_REGISTRY: list = []
+# run name -> PaceProbe recorded while the run was built
+PACE_PROBES: dict = {}
 
 STEP_SCENARIO_TEMPLATE = """\
 version: 1
@@ -75,6 +82,35 @@ def _timed(name: str, builder):
     value = builder()
     FIXTURE_WALL[name] = time.perf_counter() - t0
     return value
+
+
+@dataclass
+class PaceProbe:
+    """What the sender's pacing did during one run."""
+
+    pace_calls: int = 0  # DatagramSender.pace_and_send calls, from any handler
+    wake_instants: list[float] = field(default_factory=list)  # pace events handled
+
+
+@contextmanager
+def probe_pacing():
+    """Count pacing work in the runs made inside the block."""
+    probe = PaceProbe()
+    pace_and_send = DatagramSender.pace_and_send
+    on_pace = _Runner._on_pace
+
+    def counted_pace_and_send(self, *args, **kwargs):
+        probe.pace_calls += 1
+        return pace_and_send(self, *args, **kwargs)
+
+    def recorded_on_pace(self, *args):
+        probe.wake_instants.append(self.now)
+        return on_pace(self, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DatagramSender, "pace_and_send", counted_pace_and_send)
+        mp.setattr(_Runner, "_on_pace", recorded_on_pace)
+        yield probe
 
 
 @pytest.fixture(scope="session")
@@ -138,7 +174,8 @@ def step_scenario_path(art_dir):
 @pytest.fixture(scope="session")
 def adaptive_run(step_scenario_path, model):
     scenario = load_scenario(step_scenario_path)
-    result = _timed("adaptive_run", lambda: run_scenario(scenario, model=model))
+    with probe_pacing() as PACE_PROBES["step-adaptive"]:
+        result = _timed("adaptive_run", lambda: run_scenario(scenario, model=model))
     RUN_REGISTRY.append(("step-adaptive", result))
     return result
 
@@ -149,6 +186,36 @@ def baseline_run(step_scenario_path):
     scenario.mode = "baseline"
     result = _timed("baseline_run", lambda: run_scenario(scenario))
     RUN_REGISTRY.append(("step-baseline", result))
+    return result
+
+
+def tiny_mtu_scenario(bounds, duration=3.0):
+    """Small packets over a shallow, wandering link: the loss path's workout.
+
+    100 B fragments make pacing per packet the dominant cost. The 3 kB queue
+    holds 2.4 ms at 10 Mbps, under the 5 ms CE threshold, so tail drops are
+    the main congestion signal, and the 3-10 Mbps random walk keeps the
+    controller cutting: loss cuts, receiver gaps, expired partial scans and
+    lost sequence numbers leaving the in-flight ledger all happen here.
+    """
+    trace = random_walk_trace(duration, 0.5, 6.0e6, 0.4e6, 3.0e6, 10.0e6, seed=1)
+    return Scenario(
+        scan_source=ScanSourceConfig(profile=PROFILE, seed=SCENE_SEED),
+        link=LinkConfig(capacity_trace=trace, queue_limit=3000),
+        control=ControlParams(),
+        bounds=bounds,
+        transport=TransportParams(mtu_payload=100, sender_queue_cap=160),
+        duration=duration,
+    )
+
+
+@pytest.fixture(scope="session")
+def tiny_mtu_run(bounds, model):
+    with probe_pacing() as PACE_PROBES["tiny-mtu"]:
+        result = _timed(
+            "tiny_mtu_run", lambda: run_scenario(tiny_mtu_scenario(bounds), model=model)
+        )
+    RUN_REGISTRY.append(("tiny-mtu", result))
     return result
 
 

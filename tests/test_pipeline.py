@@ -5,11 +5,11 @@ from collections import Counter
 
 import pytest
 
-from conftest import PROFILE, RUN_REGISTRY, SCENE_SEED
+from conftest import PACE_PROBES, PROFILE, RUN_REGISTRY, SCENE_SEED, probe_pacing
 from scanstream.congestion import ControlParams
 from scanstream.metrics import read_metrics
 from scanstream.netem import LinkConfig
-from scanstream.pipeline import METRICS_TICK_HZ, RunError, run_scenario
+from scanstream.pipeline import _FEEDBACK, METRICS_TICK_HZ, RunError, _Runner, run_scenario
 from scanstream.predictor import build_grid
 from scanstream.scenario import BaselineConfig, ScanSourceConfig, Scenario
 from scanstream.transport import TransportParams
@@ -162,3 +162,46 @@ def test_delivered_quality_matches_calibration(slack_run, table):
     assert measured
     mean_measured = sum(measured) / len(measured)
     assert 0.3 * expected <= mean_measured <= 2.0 * expected
+
+
+# ---------------------------------------------------------------- pacing
+
+
+@pytest.mark.parametrize("name, fixture, limit", [
+    # duplicate pace wakes each re-push their successor and breed into
+    # pace chains that never die: ~90 calls per packet here, 3.0 there
+    ("tiny-mtu", "tiny_mtu_run", 3.0),
+    ("step-adaptive", "adaptive_run", 2.5),
+])
+def test_pacing_work_per_packet(name, fixture, limit, request):
+    result = request.getfixturevalue(fixture)
+    probe = PACE_PROBES[name]
+    assert probe.pace_calls <= limit * result.summary.packets_sent
+    # no two pace events at one simulated instant
+    assert probe.wake_instants
+    assert len(set(probe.wake_instants)) == len(probe.wake_instants)
+
+
+def test_feedback_at_a_pace_instant_does_not_stall_the_sender(bounds, model, monkeypatch):
+    # A report landing exactly on a pending pace wake paces first, finds the
+    # wake already scheduled and pushes nothing; the wake must still fire
+    # and schedule its successor, or the pace timer is gone for good.
+    on_scan = _Runner._on_scan
+    collisions = []
+
+    def on_scan_then_feedback(self, k):
+        on_scan(self, k)
+        if k == 0:
+            assert self.sender.blocked_reason == "pacing"
+            collisions.append(self._next_pace)
+            report = self.receiver.make_feedback(self.now)
+            self._push(self._next_pace, _FEEDBACK, "feedback", report)
+
+    monkeypatch.setattr(_Runner, "_on_scan", on_scan_then_feedback)
+    with probe_pacing() as probe:
+        result = run_scenario(make_scenario(bounds, duration=1.0), model=model)
+    (wake,) = collisions
+    assert wake in probe.wake_instants
+    # the sender's own timer keeps running past the collision
+    assert sum(t > wake for t in probe.wake_instants) > 100
+    assert result.summary.scans_delivered >= 8

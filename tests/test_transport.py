@@ -1,10 +1,13 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scanstream.codec import CompressionConfig, encode, pad_scan
-from scanstream.congestion import ControlParams, FeedbackReport, init_state
+from scanstream.congestion import ControlParams, FeedbackReport, init_state, on_feedback
 from scanstream.transport import (
     CE,
     ECT1,
@@ -244,6 +247,50 @@ def test_reconcile_inflight_forgets_lost_bytes():
     assert cc.bytes_in_flight == packet_wire_size(last)
     sender.reconcile_inflight(cc, last.seq)
     assert cc.bytes_in_flight == 0
+
+
+LEDGER_PARAMS = TransportParams(mtu_payload=200)
+LEDGER_UNITS = [unit_of_size(n, scan_id=i, seed=i) for i, n in enumerate((40, 150, 500))]
+
+
+@given(ops=st.lists(
+    st.tuples(st.sampled_from(("send", "deliver", "lose", "report")), st.integers(0, 2)),
+    max_size=60,
+))
+def test_inflight_ledger_under_sends_acks_and_losses(ops):
+    # the sender's running total must equal, after every step, both the
+    # definition (wire bytes of every seq above the highest acked one) and
+    # the per-seq dict it replaced, through the real feedback path
+    ccp = ControlParams()
+    cc = init_state(ccp, 3e6, 10e6)
+    cc.w_ref = 1e6
+    sender = DatagramSender(LEDGER_PARAMS)
+    receiver = DatagramReceiver(LEDGER_PARAMS)
+    in_transit: deque[Packet] = deque()  # neither delivered nor lost yet
+    sent: dict[int, int] = {}
+    per_seq: dict[int, int] = {}
+    highest = 0
+    now = 0.0
+    for op, arg in ops:
+        now += 0.05
+        if op == "send":
+            sender.enqueue_unit(LEDGER_UNITS[arg], now)
+            for _, pkt in drain(sender, 1e9, now=now, cc=cc, ccp=ccp, horizon=now + 0.01):
+                in_transit.append(pkt)
+                sent[pkt.seq] = per_seq[pkt.seq] = packet_wire_size(pkt)
+        elif op == "deliver" and in_transit:
+            receiver.receive_packet(in_transit.popleft(), now)
+        elif op == "lose" and in_transit:
+            in_transit.popleft()
+        elif op == "report":
+            report = receiver.make_feedback(now)
+            on_feedback(cc, ccp, report, now)
+            sender.reconcile_inflight(cc, report.highest_acked_seq)
+            highest = report.highest_acked_seq
+            for seq in [s for s in per_seq if s <= highest]:
+                del per_seq[seq]
+        expected = sum(wire for seq, wire in sent.items() if seq > highest)
+        assert cc.bytes_in_flight == expected == sum(per_seq.values())
 
 
 # -------------------------------------------------------------- receiver
