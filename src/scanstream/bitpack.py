@@ -1,202 +1,197 @@
 """Bit-level helpers for the point cloud codec.
 
-Cell indices interleave into Morton codes of up to 3 * 24 = 72 bits, which
-does not fit a single int64.  Codes are therefore carried as three 24-bit
-limbs (most significant first) so that all arithmetic stays inside exact
-int64 range.  Packing to and from byte streams goes through numpy's
-unpackbits/packbits on a big-endian (n, 72) bit matrix.
+Cell indices interleave into Morton codes of 3q bits, at most 72.  A code
+is carried as uint64 words: `lo` holds code bits 0-63, and `hi` holds bits
+64-71.  `hi` exists only for q >= WIDE_Q; below that every code fits `lo`
+and `hi` is None.  Delta streams travel through numpy's packbits/unpackbits
+on a big-endian bit matrix with one row per value: 64 columns when `hi` is
+None, VALUE_BITS when it is not.
 """
 from __future__ import annotations
 
 import numpy as np
 
-LIMB_BITS = 24
-LIMB_MASK = (1 << LIMB_BITS) - 1
-VALUE_BITS = 3 * LIMB_BITS  # 72
-VALUE_BYTES = VALUE_BITS // 8
+VALUE_BITS = 72
+WIDE_Q = 22  # the first q whose codes reach past bit 63
 
-_SPREAD_MASK_21 = 0x1FFFFF
+_U64 = np.uint64
+_LOW32 = _U64(0xFFFFFFFF)
+# (shift, mask) steps that move bit j of a 21-bit value to bit 3j
+_SPREAD = (
+    (32, 0x1F00000000FFFF),
+    (16, 0x1F0000FF0000FF),
+    (8, 0x100F00F00F00F00F),
+    (4, 0x10C30C30C30C30C3),
+    (2, 0x1249249249249249),
+)
+# the same moves undone, in reverse order
+_COMPACT = (
+    (2, 0x10C30C30C30C30C3),
+    (4, 0x100F00F00F00F00F),
+    (8, 0x1F0000FF0000FF),
+    (16, 0x1F00000000FFFF),
+    (32, 0x1FFFFF),
+)
+# bits 0-2 of a value spread to bits 0, 3, 6: the top axis bits at q >= WIDE_Q
+_SPREAD_TOP = np.array([(v & 1) | (v & 2) << 2 | (v & 4) << 4 for v in range(8)], dtype=_U64)
+
+
+def row_bits(q: int) -> int:
+    """Columns of the bit matrix at q: 64 while every code fits `lo`."""
+    return 64 if q < WIDE_Q else VALUE_BITS
+
+
+def code_int(hi: np.ndarray | None, lo: np.ndarray, k: int) -> int:
+    """Code k as a Python int."""
+    return (0 if hi is None else int(hi[k]) << 64) | int(lo[k])
 
 
 def bit_length(values: np.ndarray) -> np.ndarray:
-    """Per-element bit length of nonnegative integers below 2**53 (bit_length(0) == 0).
+    """Per-element bit length of uint64 values (bit_length(0) == 0).
 
-    Such values are exact in float64, whose binary exponent is the bit length.
+    float64 holds values below 2**53 exactly, and its binary exponent is
+    the bit length.  Larger values may round up to the next power of two,
+    so their length is taken from the high 32 bits instead.
     """
-    return np.frexp(np.asarray(values, dtype=np.float64))[1].astype(np.int64)
+    values = np.asarray(values, dtype=_U64)
+    lengths = np.frexp(values.astype(np.float64))[1]
+    big = np.flatnonzero(lengths > 53)
+    if len(big):
+        lengths[big] = 32 + np.frexp((values[big] >> _U64(32)).astype(np.float64))[1]
+    return lengths
 
 
-def limb_bit_length(limbs: np.ndarray) -> np.ndarray:
-    """Bit length of 72-bit values given as (n, 3) limbs, most significant first."""
-    m2 = limbs[:, 0]
-    low48 = limbs[:, 2] | (limbs[:, 1] << LIMB_BITS)
-    return np.where(m2 > 0, 2 * LIMB_BITS + bit_length(m2), bit_length(low48))
+def code_bit_length(hi: np.ndarray | None, lo: np.ndarray) -> np.ndarray:
+    """Bit length of each code given as words."""
+    if hi is None:
+        return bit_length(lo)
+    return np.where(hi > 0, 64 + bit_length(hi), bit_length(lo))
 
 
 def _spread3(v: np.ndarray) -> np.ndarray:
-    '''spread the low 21 bits of v so bit j lands at position 3*j'''
-    v = v.astype(np.uint64) & np.uint64(_SPREAD_MASK_21)
-    v = (v | (v << np.uint64(32))) & np.uint64(0x1F00000000FFFF)
-    v = (v | (v << np.uint64(16))) & np.uint64(0x1F0000FF0000FF)
-    v = (v | (v << np.uint64(8))) & np.uint64(0x100F00F00F00F00F)
-    v = (v | (v << np.uint64(4))) & np.uint64(0x10C30C30C30C30C3)
-    v = (v | (v << np.uint64(2))) & np.uint64(0x1249249249249249)
+    """Spread each value below 2**21, in place, so bit j lands at bit 3j."""
+    for shift, mask in _SPREAD:
+        v |= v << _U64(shift)
+        v &= _U64(mask)
     return v
 
 
 def _compact3(v: np.ndarray) -> np.ndarray:
-    '''inverse of _spread3: collect bits at positions 0, 3, 6, ...'''
-    v = v.astype(np.uint64) & np.uint64(0x1249249249249249)
-    v = (v ^ (v >> np.uint64(2))) & np.uint64(0x10C30C30C30C30C3)
-    v = (v ^ (v >> np.uint64(4))) & np.uint64(0x100F00F00F00F00F)
-    v = (v ^ (v >> np.uint64(8))) & np.uint64(0x1F0000FF0000FF)
-    v = (v ^ (v >> np.uint64(16))) & np.uint64(0x1F00000000FFFF)
-    v = (v ^ (v >> np.uint64(32))) & np.uint64(0x1FFFFF)
+    """Inverse of _spread3, in place: collect bits 0, 3, 6, ... into the low 21."""
+    v &= _U64(0x1249249249249249)
+    for shift, mask in _COMPACT:
+        v ^= v >> _U64(shift)
+        v &= _U64(mask)
     return v
 
 
-def morton_encode(ix: np.ndarray, iy: np.ndarray, iz: np.ndarray, q: int) -> np.ndarray:
-    """Interleave three q-bit cell indices into (n, 3) limb rows.
+def morton_encode(cells: np.ndarray, q: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """Interleave a (3, n) uint64 stack of q-bit cell indices into words (hi, lo).
 
-    Bit j of axis a maps to Morton bit 3*j + a; x is the least significant
-    axis.  q may be up to 24, so the top 3 bits of each axis (when q > 21)
-    land in a high part above bit 62.
+    Bit j of axis a maps to code bit 3j + a; x is the least significant
+    axis.  Bits 21-23 of each axis (q >= WIDE_Q) land at code bits 63-71.
     """
-    ix = ix.astype(np.uint64)
-    iy = iy.astype(np.uint64)
-    iz = iz.astype(np.uint64)
-    lo = _spread3(ix) | (_spread3(iy) << np.uint64(1)) | (_spread3(iz) << np.uint64(2))
-    if q > 21:
-        hi = (
-            _spread3(ix >> np.uint64(21))
-            | (_spread3(iy >> np.uint64(21)) << np.uint64(1))
-            | (_spread3(iz >> np.uint64(21)) << np.uint64(2))
-        )
-    else:
-        hi = np.zeros_like(lo)
-    # lo holds Morton bits 0..62, hi holds bits 63.. (at most 9 of them)
-    limbs = np.empty((len(lo), 3), dtype=np.int64)
-    limbs[:, 2] = (lo & np.uint64(LIMB_MASK)).astype(np.int64)
-    limbs[:, 1] = ((lo >> np.uint64(24)) & np.uint64(LIMB_MASK)).astype(np.int64)
-    limbs[:, 0] = ((lo >> np.uint64(48)) | (hi << np.uint64(15))).astype(np.int64)
-    return limbs
+    spread = _spread3(cells & _U64(0x1FFFFF))
+    lo = spread[0] | (spread[1] << _U64(1)) | (spread[2] << _U64(2))
+    if q < WIDE_Q:
+        return None, lo
+    top = _SPREAD_TOP[cells >> _U64(21)]
+    top = top[0] | (top[1] << _U64(1)) | (top[2] << _U64(2))  # code bits 63-71
+    lo |= top << _U64(63)
+    return top >> _U64(1), lo
 
 
-def morton_decode(limbs: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse of morton_encode; returns (ix, iy, iz) int64 arrays."""
-    m2 = limbs[:, 0].astype(np.uint64)
-    m1 = limbs[:, 1].astype(np.uint64)
-    m0 = limbs[:, 2].astype(np.uint64)
-    lo = m0 | (m1 << np.uint64(24)) | ((m2 & np.uint64(0x7FFF)) << np.uint64(48))
-    hi = m2 >> np.uint64(15)
-    out = []
-    for axis in range(3):
-        low = _compact3(lo >> np.uint64(axis))
-        if q > 21:
-            high = _compact3(hi >> np.uint64(axis))
-            low = low | (high << np.uint64(21))
-        out.append(low.astype(np.int64))
-    return out[0], out[1], out[2]
+def morton_decode(hi: np.ndarray | None, lo: np.ndarray) -> np.ndarray:
+    """Inverse of morton_encode: the (3, n) uint64 stack of cell indices."""
+    cells = np.stack([lo, lo >> _U64(1), lo >> _U64(2)])
+    _compact3(cells)
+    if hi is not None:
+        top = (lo >> _U64(63)) | (hi << _U64(1))  # code bits 63-71
+        top = _compact3(np.stack([top, top >> _U64(1), top >> _U64(2)]))
+        cells |= top << _U64(21)
+    return cells
 
 
-def sort_order(limbs: np.ndarray, q: int) -> np.ndarray:
-    """Stable ascending order of the 72-bit codes (ties keep input order)."""
-    m2 = limbs[:, 0].astype(np.uint64)
-    m1 = limbs[:, 1].astype(np.uint64)
-    m0 = limbs[:, 2].astype(np.uint64)
-    if 3 * q <= 63:
-        key = m0 | (m1 << np.uint64(24)) | (m2 << np.uint64(48))
-        return np.argsort(key, kind="stable")
-    # Wider codes: stable-sort the top 64 bits, then rank them densely and
+def sort_order(hi: np.ndarray | None, lo: np.ndarray) -> np.ndarray:
+    """Stable ascending order of the codes (ties keep input order)."""
+    if hi is None:
+        return np.argsort(lo, kind="stable")
+    # Wide codes: stable-sort the top 64 bits, then rank them densely and
     # re-sort (rank, low 8 bits).  That key fits 32 bits and is already in
     # order outside runs of equal tops, so the second sort is nearly free;
     # both sorts are stable, so equal codes keep input order.
-    top = (m2 << np.uint64(40)) | (m1 << np.uint64(16)) | (m0 >> np.uint64(8))
+    top = (hi << _U64(56)) | (lo >> _U64(8))
     order = np.argsort(top, kind="stable")
     ranked = top[order]
-    rank = np.zeros(len(ranked), dtype=np.int64)
+    rank = np.zeros(len(ranked), dtype=_U64)
     np.cumsum(ranked[1:] != ranked[:-1], out=rank[1:])
-    low8 = limbs[order, 2].astype(np.int64) & 0xFF
-    return order[np.argsort((rank << 8) | low8, kind="stable")]
+    low8 = lo[order] & _U64(0xFF)
+    return order[np.argsort((rank << _U64(8)) | low8, kind="stable")]
 
 
-def delta_limbs(limbs: np.ndarray) -> np.ndarray:
-    """Differences of consecutive sorted codes as limbs; input must be sorted."""
-    n = len(limbs)
-    out = np.empty((max(n - 1, 0), 3), dtype=np.int64)
-    if n <= 1:
-        return out
-    d0 = limbs[1:, 2] - limbs[:-1, 2]
-    borrow = (d0 < 0).astype(np.int64)
-    d0 += borrow << LIMB_BITS
-    d1 = limbs[1:, 1] - limbs[:-1, 1] - borrow
-    borrow = (d1 < 0).astype(np.int64)
-    d1 += borrow << LIMB_BITS
-    d2 = limbs[1:, 0] - limbs[:-1, 0] - borrow
-    out[:, 0] = d2
-    out[:, 1] = d1
-    out[:, 2] = d0
-    return out
+def deltas(hi: np.ndarray | None, lo: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """Differences of consecutive sorted codes as words; input must be sorted."""
+    dlo = np.diff(lo)  # wraps modulo 2**64, and hi takes the borrow
+    if hi is None:
+        return None, dlo
+    return np.diff(hi) - (lo[1:] < lo[:-1]), dlo
 
 
-def cumsum_limbs(first: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+def cumsum_words(
+    first: int, dhi: np.ndarray | None, dlo: np.ndarray, q: int
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Rebuild sorted codes from the first code and the deltas.
 
-    Each 24-bit limb column is summed on its own, so every running sum stays
-    below 2**48 for up to 2**24 codes and int64 cumsum is exact; carries
-    then ripple from the low limb up.  The top limb is left unmasked so the
-    caller can detect a sum past 72 bits.
+    Raises ValueError when a code leaves the 3q-bit grid.  Below WIDE_Q the
+    sum runs in uint64: it wraps only past 2**64, which shows as a decrease,
+    and a nondecreasing run stays in the grid when its last code does.
+    From WIDE_Q up, the sum carries exactly through 32-bit halves: each
+    half-column sum stays below 2**56 for up to 2**24 codes.
     """
-    limbs = np.empty((len(deltas) + 1, 3), dtype=np.int64)
-    limbs[0] = first
-    limbs[1:] = deltas
-    sums = np.cumsum(limbs, axis=0)
-    carry = 0
-    for k in (2, 1):
-        col = sums[:, k] + carry
-        carry = col >> LIMB_BITS
-        limbs[:, k] = col & LIMB_MASK
-    limbs[:, 0] = sums[:, 0] + carry
-    return limbs
+    if first >> (3 * q):
+        raise ValueError(f"first code exceeds the {q}-bit grid")
+    lo = np.empty(len(dlo) + 1, dtype=_U64)
+    lo[0] = first & 0xFFFFFFFFFFFFFFFF
+    lo[1:] = dlo
+    if dhi is None:
+        np.cumsum(lo, out=lo)
+        if lo[-1] >> _U64(3 * q) or (lo[1:] < lo[:-1]).any():
+            raise ValueError(f"delta stream leaves the {q}-bit grid")
+        return None, lo
+    hi = np.empty_like(lo)
+    hi[0] = first >> 64
+    hi[1:] = dhi
+    low = np.cumsum(lo & _LOW32)
+    mid = np.cumsum(lo >> _U64(32)) + (low >> _U64(32))
+    np.cumsum(hi, out=hi)
+    hi += mid >> _U64(32)
+    if hi[-1] >> _U64(3 * q - 64):
+        raise ValueError(f"delta stream leaves the {q}-bit grid")
+    np.bitwise_or(mid << _U64(32), low & _LOW32, out=lo)
+    return hi, lo
 
 
-def limbs_to_int(row: np.ndarray) -> int:
-    return (int(row[0]) << 48) | (int(row[1]) << 24) | int(row[2])
-
-
-def int_to_limbs(value: int) -> np.ndarray:
-    return np.array(
-        [(value >> 48) & LIMB_MASK, (value >> 24) & LIMB_MASK, value & LIMB_MASK],
-        dtype=np.int64,
-    )
-
-
-def to_bit_matrix(limbs: np.ndarray) -> np.ndarray:
-    """(n, 3) limbs -> (n, 72) uint8 bit matrix, most significant bit first."""
-    n = len(limbs)
-    # big-endian layout: top 8 bits first, then the low 64 as one word
-    low64 = (
-        limbs[:, 2].astype(np.uint64)
-        | (limbs[:, 1].astype(np.uint64) << np.uint64(24))
-        | ((limbs[:, 0].astype(np.uint64) & np.uint64(0xFFFF)) << np.uint64(48))
-    )
-    by = np.empty((n, VALUE_BYTES), dtype=np.uint8)
-    by[:, 0] = limbs[:, 0] >> 16
-    by[:, 1:] = low64.astype(">u8").view(np.uint8).reshape(n, 8)
-    # rows are whole bytes, so the flat (much faster) form is row for row
+def to_bit_matrix(hi: np.ndarray | None, lo: np.ndarray) -> np.ndarray:
+    """Words -> (n, 64) or, with hi, (n, 72) uint8 bit matrix, most significant bit first."""
+    n = len(lo)
+    lo_bytes = lo.astype(">u8").view(np.uint8)
+    if hi is None:
+        # rows are whole bytes, so the flat (much faster) form is row for row
+        return np.unpackbits(lo_bytes).reshape(n, 64)
+    by = np.empty((n, VALUE_BITS // 8), dtype=np.uint8)
+    by[:, 0] = hi
+    by[:, 1:] = lo_bytes.reshape(n, 8)
     return np.unpackbits(by.reshape(-1)).reshape(n, VALUE_BITS)
 
 
-def from_bit_matrix(bits: np.ndarray) -> np.ndarray:
-    """(n, 72) bit matrix -> (n, 3) limbs."""
-    n = len(bits)
-    by = np.packbits(bits.reshape(-1)).reshape(n, VALUE_BYTES)
-    low64 = np.ascontiguousarray(by[:, 1:]).view(">u8").reshape(n).astype(np.uint64)
-    limbs = np.empty((n, 3), dtype=np.int64)
-    limbs[:, 2] = (low64 & np.uint64(LIMB_MASK)).astype(np.int64)
-    limbs[:, 1] = ((low64 >> np.uint64(24)) & np.uint64(LIMB_MASK)).astype(np.int64)
-    limbs[:, 0] = ((low64 >> np.uint64(48)) | (by[:, 0].astype(np.uint64) << np.uint64(16))).astype(np.int64)
-    return limbs
+def from_bit_matrix(bits: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """Inverse of to_bit_matrix: an (n, 64) or (n, 72) bit matrix -> words."""
+    n, cols = bits.shape
+    by = np.packbits(bits.reshape(-1)).reshape(n, cols // 8)
+    if cols == 64:
+        return None, by.view(">u8").reshape(n).astype(_U64)
+    lo = np.ascontiguousarray(by[:, 1:]).view(">u8").reshape(n).astype(_U64)
+    return by[:, 0].astype(_U64), lo
 
 
 def pack_uint(values: np.ndarray, width: int) -> bytes:
@@ -227,12 +222,12 @@ def pack_width(bits: np.ndarray, width: int) -> bytes:
     """Pack the low `width` bits of every row; result is byte padded."""
     if width == 0 or len(bits) == 0:
         return b""
-    sel = bits[:, VALUE_BITS - width :]
+    sel = bits[:, bits.shape[1] - width :]
     return np.packbits(sel.ravel()).tobytes()
 
 
-def unpack_width(data: bytes, width: int, count: int) -> np.ndarray:
-    """Inverse of pack_width; returns a (count, 72) bit matrix.
+def unpack_width(data: bytes, width: int, count: int, cols: int) -> np.ndarray:
+    """Inverse of pack_width; returns a (count, cols) bit matrix.
 
     Raises ValueError when `data` is too short for count * width bits.
     """
@@ -240,9 +235,8 @@ def unpack_width(data: bytes, width: int, count: int) -> np.ndarray:
     raw = np.frombuffer(data, dtype=np.uint8)
     if len(raw) * 8 < need:
         raise ValueError(f"bit stream truncated: need {need} bits, have {len(raw) * 8}")
-    out = np.zeros((count, VALUE_BITS), dtype=np.uint8)
+    out = np.zeros((count, cols), dtype=np.uint8)
     if need == 0:
         return out
-    u = np.unpackbits(raw, count=need).reshape(count, width)
-    out[:, VALUE_BITS - width :] = u
+    out[:, cols - width :] = np.unpackbits(raw, count=need).reshape(count, width)
     return out

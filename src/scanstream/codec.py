@@ -17,6 +17,12 @@ payload header.  `encode_efforts` runs the geometry once for many c;
 `encode` is its one-c case.  Since c only changes how the deltas are
 packed, every c at one q decodes to the same points.
 
+Cell indices travel as a (3, n) stack, one row per axis, and Morton codes
+as uint64 words (see bitpack): one word for q <= 21, whose codes have at
+most 63 bits, and a (hi, lo) pair above.  A delta is never wider than the
+3q-bit grid, so the decoder rejects any wider stream width, and it
+rejects delta streams whose running sum leaves the grid.
+
 Payload layout (after the unit wire header, little endian):
 
     u32 n_points | u32 n_valid | first_code[9] (72-bit big endian)
@@ -45,8 +51,6 @@ _BLOCK_SIZES = (8192, 4096, 2048, 1024, 512, 256)
 
 _UNIT_MAGIC = b"PCU1"
 _UNIT_HEADER = struct.Struct("<4sIBB6fI")
-_SCAN_MAGIC = b"PCS1"
-_SCAN_HEADER = struct.Struct("<4sI6f")
 _PAYLOAD_META = struct.Struct("<II9sBBBB")
 
 
@@ -164,28 +168,37 @@ def _coding_bbox(scan: PointCloudScan, tight_bbox: bool) -> np.ndarray:
     return _f32_bbox(DEFAULT_BBOX[:3], DEFAULT_BBOX[3:])
 
 
-def _quantize(points: np.ndarray, bbox: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _quantize(points: np.ndarray, bbox: np.ndarray, q: int) -> np.ndarray:
+    """Cell indices of (n, 3) points as a (3, n) uint64 stack."""
     lo = bbox[:3].astype(np.float64)
     hi = bbox[3:].astype(np.float64)
     extent = hi - lo
     safe = np.where(extent > 0, extent, 1.0)
-    t = (points - lo) / safe
-    inside = (t >= 0.0) & (t <= 1.0)
-    if not inside.all():
-        bad = int(np.argmin(inside.all(axis=1)))
+    # axis rows keep numpy's inner loops long; always a copy, as t is
+    # scaled in place
+    t = points.T.copy(order="C")
+    t -= lo[:, None]
+    t /= safe[:, None]
+    if not (t.min() >= 0.0 and t.max() <= 1.0):
+        bad = int(np.argmin(((t >= 0.0) & (t <= 1.0)).all(axis=0)))
         raise OutOfRangeError(
             f"point {bad} at {points[bad]} outside coding bbox [{lo}, {hi}]"
         )
-    cells = np.clip((t * float(1 << q)).astype(np.int64), 0, (1 << q) - 1)
-    return cells[:, 0], cells[:, 1], cells[:, 2]
+    t *= float(1 << q)
+    cells = t.astype(np.uint64)
+    return np.minimum(cells, np.uint64((1 << q) - 1), out=cells)
 
 
-def _dequantize(ix: np.ndarray, iy: np.ndarray, iz: np.ndarray, bbox: np.ndarray, q: int) -> np.ndarray:
+def _dequantize(cells: np.ndarray, bbox: np.ndarray, q: int) -> np.ndarray:
+    """Cell centers of a (3, n) stack of cell indices, as (n, 3) points."""
     lo = bbox[:3].astype(np.float64)
     hi = bbox[3:].astype(np.float64)
     cell = (hi - lo) / float(1 << q)
-    idx = np.stack([ix, iy, iz], axis=1).astype(np.float64)
-    return lo + (idx + 0.5) * cell
+    t = cells.astype(np.float64)
+    t += 0.5
+    t *= cell[:, None]
+    t += lo[:, None]
+    return np.ascontiguousarray(t.T)
 
 
 _Plan = tuple[int, int, int, "np.ndarray | None"]
@@ -230,7 +243,7 @@ class _Geometry:
     perm_mode: int
     perm_bytes: bytes
     widths: np.ndarray  # bit length of each delta
-    bits: np.ndarray  # (n - 1, 72) delta bit matrix
+    bits: np.ndarray  # delta bit matrix, one row per delta (see bitpack.to_bit_matrix)
 
 
 def _geometry(scan: PointCloudScan, q: int, tight_bbox: bool) -> _Geometry:
@@ -239,12 +252,12 @@ def _geometry(scan: PointCloudScan, q: int, tight_bbox: bool) -> _Geometry:
     if n > MAX_POINTS:
         raise ConfigError(f"scan has {n} points, codec limit is {MAX_POINTS}")
     bbox = _coding_bbox(scan, tight_bbox)
-    ix, iy, iz = _quantize(scan.points, bbox, q)
-    codes = bitpack.morton_encode(ix, iy, iz, q)
-    order = bitpack.sort_order(codes, q)
-    sorted_codes = codes[order]
-    deltas = bitpack.delta_limbs(sorted_codes)
-    widths = bitpack.limb_bit_length(deltas) if len(deltas) else np.zeros(0, dtype=np.int64)
+    hi, lo = bitpack.morton_encode(_quantize(scan.points, bbox, q), q)
+    order = bitpack.sort_order(hi, lo)
+    lo = lo[order]
+    hi = None if hi is None else hi[order]
+    dhi, dlo = bitpack.deltas(hi, lo)
+    widths = bitpack.code_bit_length(dhi, dlo)
 
     identity = bool(np.array_equal(order, np.arange(n)))
     perm_bytes = b""
@@ -254,8 +267,8 @@ def _geometry(scan: PointCloudScan, q: int, tight_bbox: bool) -> _Geometry:
         pw = int(n - 1).bit_length()
         perm_bytes = bitpack.pack_uint(order, pw)
 
-    bits = bitpack.to_bit_matrix(deltas) if len(deltas) else np.zeros((0, 72), dtype=np.uint8)
-    first = bitpack.limbs_to_int(sorted_codes[0]).to_bytes(9, "big")
+    bits = bitpack.to_bit_matrix(dhi, dlo)
+    first = bitpack.code_int(hi, lo, 0).to_bytes(9, "big")
     return _Geometry(
         scan.scan_id, bbox, n, scan.n_valid, first, perm_mode, perm_bytes, widths, bits
     )
@@ -275,7 +288,7 @@ def _pack(geom: _Geometry, plan: _Plan) -> bytes:
         for k, w in enumerate(block_widths):
             if w == 0:
                 continue
-            rows = bits[k * block : (k + 1) * block, bitpack.VALUE_BITS - int(w) :]
+            rows = bits[k * block : (k + 1) * block, bits.shape[1] - int(w) :]
             segs.append(rows.ravel())
         if segs:
             delta_bytes = np.packbits(np.concatenate(segs)).tobytes()
@@ -330,8 +343,12 @@ def decode(unit: EncodedUnit) -> PointCloudScan:
     n, n_valid, first_raw, perm_mode, delta_mode, global_w, block_log2 = _PAYLOAD_META.unpack_from(payload)
     if n < 1 or n > MAX_POINTS or not (1 <= n_valid <= n):
         raise DecodeError(f"bad point counts n={n} n_valid={n_valid}")
-    if perm_mode not in (0, 1) or delta_mode not in (0, 1) or global_w > bitpack.VALUE_BITS:
+    q = unit.q
+    if perm_mode not in (0, 1) or delta_mode not in (0, 1):
         raise DecodeError("unknown stream mode")
+    if global_w > 3 * q:
+        raise DecodeError(f"delta width {global_w} exceeds the {q}-bit grid")
+    cols = bitpack.row_bits(q)
     pos = _PAYLOAD_META.size
 
     order = None  # identity
@@ -354,7 +371,7 @@ def decode(unit: EncodedUnit) -> PointCloudScan:
     try:
         if delta_mode == 0:
             nbytes = (m * global_w + 7) // 8
-            bits = bitpack.unpack_width(payload[pos : pos + nbytes], global_w, m)
+            bits = bitpack.unpack_width(payload[pos : pos + nbytes], global_w, m, cols)
             pos += nbytes
         else:
             block = 1 << block_log2
@@ -364,8 +381,8 @@ def decode(unit: EncodedUnit) -> PointCloudScan:
             bw = np.frombuffer(payload[pos : pos + nblocks], dtype=np.uint8).astype(np.int64)
             if len(bw) != nblocks:
                 raise DecodeError("block width table truncated")
-            if bw.max(initial=0) > bitpack.VALUE_BITS:
-                raise DecodeError("block width exceeds 72 bits")
+            if bw.max(initial=0) > 3 * q:
+                raise DecodeError(f"block width exceeds the {q}-bit grid")
             pos += nblocks
             lens = np.minimum(np.arange(1, nblocks + 1) * block, m) - np.arange(nblocks) * block
             total_bits = int(np.sum(lens * bw))
@@ -374,31 +391,29 @@ def decode(unit: EncodedUnit) -> PointCloudScan:
                 raise ValueError(f"bit stream truncated: need {total_bits} bits")
             pos += (total_bits + 7) // 8
             flat = np.unpackbits(raw, count=total_bits) if total_bits else np.zeros(0, dtype=np.uint8)
-            bits = np.zeros((m, bitpack.VALUE_BITS), dtype=np.uint8)
+            bits = np.zeros((m, cols), dtype=np.uint8)
             splits = np.split(flat, np.cumsum(lens * bw)[:-1])
             for k, seg in enumerate(splits):
                 if bw[k] == 0:
                     continue
                 rows = seg.reshape(int(lens[k]), int(bw[k]))
-                bits[k * block : k * block + len(rows), bitpack.VALUE_BITS - int(bw[k]) :] = rows
+                bits[k * block : k * block + len(rows), cols - int(bw[k]) :] = rows
+        dhi, dlo = bitpack.from_bit_matrix(bits)
+        hi, lo = bitpack.cumsum_words(int.from_bytes(first_raw, "big"), dhi, dlo, q)
     except ValueError as exc:
         raise DecodeError(str(exc)) from None
 
-    deltas = bitpack.from_bit_matrix(bits) if m else np.zeros((0, 3), dtype=np.int64)
-    first = bitpack.int_to_limbs(int.from_bytes(first_raw, "big"))
-    sorted_codes = bitpack.cumsum_limbs(first, deltas)
-    if sorted_codes[:, 0].max(initial=0) > bitpack.LIMB_MASK:
-        raise DecodeError("delta stream overflows 72-bit code range")
-    if bitpack.limbs_to_int(sorted_codes[-1]) >= 1 << (3 * unit.q):
-        raise DecodeError(f"decoded cell index exceeds {unit.q}-bit grid")
-
-    ix, iy, iz = bitpack.morton_decode(sorted_codes, unit.q)
-    pts_sorted = _dequantize(ix, iy, iz, bbox, unit.q)
-    points = pts_sorted
-    if order is not None:
-        points = np.empty((n, 3), dtype=np.float64)
-        points[order] = pts_sorted
+    if order is not None:  # back to capture order while points are still words
+        lo = _unsort(lo, order)
+        hi = None if hi is None else _unsort(hi, order)
+    points = _dequantize(bitpack.morton_decode(hi, lo), bbox, q)
     return PointCloudScan(points=points, scan_id=unit.scan_id, timestamp=0.0, n_valid=n_valid)
+
+
+def _unsort(sorted_values: np.ndarray, order: np.ndarray) -> np.ndarray:
+    out = np.empty_like(sorted_values)
+    out[order] = sorted_values
+    return out
 
 
 def residual(original: PointCloudScan, decoded: PointCloudScan) -> ResidualStats:
@@ -411,7 +426,12 @@ def residual(original: PointCloudScan, decoded: PointCloudScan) -> ResidualStats
         raise CardinalityError(
             f"padding mismatch: n_valid {original.n_valid} vs {decoded.n_valid}"
         )
-    per_point = np.linalg.norm(original.points - decoded.points, axis=1)
+    # the Euclidean norm per point, summed x, y, z in order as np.linalg.norm does
+    d = np.ascontiguousarray((original.points - decoded.points).T)
+    d *= d
+    per_point = d[0] + d[1]
+    per_point += d[2]
+    np.sqrt(per_point, out=per_point)
     valid = per_point[: original.n_valid]
     return ResidualStats(
         mean_ptp=float(valid.mean()),
@@ -443,34 +463,3 @@ def unpack_unit(data: bytes) -> EncodedUnit:
             f"got {len(data) - _UNIT_HEADER.size}"
         )
     return EncodedUnit(scan_id=scan_id, q=q, c=c, bbox=bbox, payload=data[_UNIT_HEADER.size :])
-
-
-def write_scan_file(path, scan: PointCloudScan, bbox: np.ndarray | None = None) -> None:
-    bbox = np.asarray(DEFAULT_BBOX if bbox is None else bbox, dtype=np.float32)
-    with open(path, "wb") as fh:
-        fh.write(_SCAN_HEADER.pack(_SCAN_MAGIC, scan.n_points, *bbox))
-        fh.write(scan.points.astype("<f4").tobytes())
-
-
-def read_scan_file(path, scan_id: int = 0, timestamp: float = 0.0) -> tuple[PointCloudScan, np.ndarray]:
-    with open(path, "rb") as fh:
-        header = fh.read(_SCAN_HEADER.size)
-        if len(header) < _SCAN_HEADER.size:
-            raise DecodeError(f"scan file header truncated: {path}")
-        magic, n, *bbox = _SCAN_HEADER.unpack(header)
-        if magic != _SCAN_MAGIC:
-            raise DecodeError(f"bad scan magic {magic!r} in {path}")
-        raw = fh.read(n * 12)
-    if len(raw) != n * 12:
-        raise DecodeError(f"scan file body truncated: {path}")
-    points = np.frombuffer(raw, dtype="<f4").reshape(n, 3).astype(np.float64)
-    scan = PointCloudScan(points=points, scan_id=scan_id, timestamp=timestamp)
-    return scan, np.array(bbox, dtype=np.float32)
-
-
-def read_ascii_scan(path, scan_id: int = 0, timestamp: float = 0.0) -> PointCloudScan:
-    """Import a fixture scan with one 'x y z' line per point."""
-    points = np.loadtxt(path, dtype=np.float64, ndmin=2)
-    if points.shape[1] != 3:
-        raise ValueError(f"expected 3 columns in {path}, got {points.shape[1]}")
-    return PointCloudScan(points=points, scan_id=scan_id, timestamp=timestamp)

@@ -71,11 +71,6 @@ class RateModel:
     scan_hz: float
     diagnostics: dict = field(default_factory=dict)
 
-    def raw_coefficients(self) -> tuple[np.ndarray, float]:
-        """Equivalent (coef, intercept) acting on unscaled monomials."""
-        raw = self.coef / self.feature_scale
-        return raw, float(self.intercept - raw @ self.feature_center)
-
 
 def fit(samples: list[RateSample], scan_hz: float) -> RateModel:
     """Least-squares fit of the rate surface; raises FitError on thin data."""

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 import struct
 import tracemalloc
@@ -85,6 +87,18 @@ def test_encode_deterministic():
     scan = make_scan(1024, 5)
     cfg = CompressionConfig(14, 3)
     assert encode(scan, cfg).payload == encode(scan, cfg).payload
+
+
+@pytest.mark.parametrize("n", [1, 2, 300])
+def test_encode_leaves_the_scan_unchanged(n):
+    # one point, or Fortran-ordered points, transpose to a contiguous view
+    for points in (cloud(n, 4), np.asfortranarray(cloud(n, 4))):
+        scan = pad_scan(points, n)
+        before = scan.points.copy()
+        for q in (16, 24):
+            out = decode(encode(scan, CompressionConfig(q, 9, tight_bbox=True)))
+            assert np.array_equal(scan.points, before)
+            assert residual(scan, out).max_ptp < 1e-2
 
 
 def test_encode_efforts_matches_encode_per_config():
@@ -201,6 +215,90 @@ def test_decode_checks_length_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def headed_unit(q, n, first, width, stream):
+    """A unit at q whose payload is a hand-made header plus delta stream."""
+    unit = encode(make_scan(n, 1), CompressionConfig(q, 0))
+    unit.payload = struct.pack("<II9sBBBB", n, n, first.to_bytes(9, "big"), 0, 0, width, 0) + stream
+    return unit
+
+
+def delta_stream(deltas, width):
+    bits = "".join(format(d, f"0{width}b") for d in deltas)
+    bits += "0" * (-len(bits) % 8)
+    return int(bits, 2).to_bytes(len(bits) // 8, "big")
+
+
+def test_decode_rejects_deltas_that_wrap_back_into_the_grid():
+    # at q=21 codes have 63 bits and the decoder sums them in uint64:
+    # 2**62 + 2 * (2**63 - 1) wraps past 2**64 to 2**62 - 2, back in the grid
+    wide = (1 << 63) - 1
+    with pytest.raises(DecodeError):
+        decode(headed_unit(21, 3, 1 << 62, 63, delta_stream([wide, wide], 63)))
+    # 63-bit deltas that end at the grid's last code decode
+    out = decode(headed_unit(21, 3, 0, 63, delta_stream([1 << 62, (1 << 62) - 1], 63)))
+    assert out.n_points == 3
+
+
+def test_decode_rejects_deltas_wider_than_the_grid():
+    with pytest.raises(DecodeError):
+        decode(headed_unit(10, 3, 0, 31, delta_stream([1, 1], 31)))
+    assert decode(headed_unit(10, 3, 0, 30, delta_stream([1, 1], 30))).n_points == 3
+
+
+FUZZ_QS = (10, 21, 22, 24)
+FUZZ_POINTS = 1200
+
+
+@functools.cache
+def fuzz_units():
+    """Valid units at each fuzzed q, one per delta mode (global, blocks)."""
+    # a dense cluster in a sparse field: the cluster's small deltas sit in
+    # a run of their own, so blocked widths beat one global width
+    rng = np.random.default_rng(5)
+    points = np.concatenate([rng.uniform(-40, 40, (FUZZ_POINTS // 2, 3)),
+                             rng.uniform(0, 0.4, (FUZZ_POINTS // 2, 3))])
+    scan = pad_scan(points, FUZZ_POINTS)
+    units = []
+    for q in FUZZ_QS:
+        for delta_mode, c in enumerate((0, 9)):
+            unit = encode(scan, CompressionConfig(q, c))
+            assert unit.payload[18] == delta_mode
+            units.append(unit)
+    return units
+
+
+@given(
+    which=st.integers(0, 2 * len(FUZZ_QS) - 1),
+    flips=st.lists(
+        st.tuples(st.integers(0, 24) | st.integers(0, 10**6), st.integers(0, 255)), max_size=2
+    ),
+    cut=st.none() | st.integers(0, 10**6),
+    extra=st.binary(max_size=16),
+)
+def test_decode_of_mutated_payloads_is_bounded(which, flips, cut, extra):
+    unit = fuzz_units()[which]
+    data = bytearray(unit.payload)
+    for pos, value in flips:
+        data[pos % len(data)] = value
+    if cut is not None:
+        del data[cut % len(data) :]
+    data += extra
+    mutated = dataclasses.replace(unit, payload=bytes(data))
+    tracemalloc.start()
+    try:
+        try:
+            out = decode(mutated)
+        except DecodeError:
+            out = None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    if out is not None:
+        assert out.points.shape == (struct.unpack_from("<I", data)[0], 3)
+        assert np.isfinite(out.points).all()
 
 
 # ----------------------------------------------------------- input guards

@@ -1,13 +1,16 @@
-"""Byte-identity locks: digests of the codec's payloads, the suite's fitted
-model, the step run's metrics CSV and the tiny-MTU run's metrics CSV.
+"""Byte-identity locks: digests of the codec's payloads and decoded points,
+the suite's fitted model, the step run's metrics CSV and the tiny-MTU run's
+metrics CSV.
 
-The first three digests were recorded before the encoder was split into a
-geometry and a packing stage; the model and step digests are also the ones
-perfbench/data/fixture.json records.  The tiny-MTU digest was recorded
-before the event loop stopped pushing duplicate pace wakes; it is the only
-lock on the loss path (tail drops, loss cuts, expired partial scans, lost
-sequence numbers leaving the in-flight ledger), which the step run never
-enters.  A change that moves any of them changes behaviour, and must say so.
+The payload, model and step digests were recorded before the encoder was
+split into a geometry and a packing stage; the model and step digests are
+also the ones perfbench/data/fixture.json records.  The tiny-MTU digest was
+recorded before the event loop stopped pushing duplicate pace wakes; it is
+the only lock on the loss path (tail drops, loss cuts, expired partial
+scans, lost sequence numbers leaving the in-flight ledger), which the step
+run never enters.  The decoded-points digest was recorded while Morton
+codes were still three 24-bit limbs, before they became 64-bit words.  A
+change that moves any of them changes behaviour, and must say so.
 """
 from __future__ import annotations
 
@@ -15,7 +18,16 @@ import hashlib
 
 from conftest import CORPUS_SEED, PROFILE, SCAN_HZ
 
-from scanstream.codec import C_MAX, C_MIN, Q_MAX, Q_MIN, CompressionConfig, encode, encode_efforts
+from scanstream.codec import (
+    C_MAX,
+    C_MIN,
+    Q_MAX,
+    Q_MIN,
+    CompressionConfig,
+    decode,
+    encode,
+    encode_efforts,
+)
 from scanstream.metrics import write_metrics
 from scanstream.predictor import save_model
 from scanstream.scangen import generate_corpus
@@ -23,6 +35,7 @@ from scanstream.scangen import generate_corpus
 PAYLOAD_SHA256 = "e1e25a2cb87a55e1134713061c90beeaafce0edd11785c6c1b2c87e7fdb3ed07"
 MODEL_SHA256 = "225fa8fe5fd688c74b60aea4d45946ac14b2868fa769af0c63bfbbe97ee9c247"
 STEP_METRICS_SHA256 = "7bc52fa60c8e2d74337b3b5440fc252350979c3d49fc0f1fe87ea8a4689ba67e"
+DECODED_SHA256 = "bc9766f93e4e1d9551ce008522b3bc91c45a8574961bfed4844e79262d325402"
 TINY_MTU_METRICS_SHA256 = "ccd9bcf4b81514752810aa340436e0360e445efd0ee6ca42bfe60656f9102a82"
 
 
@@ -43,6 +56,17 @@ def test_payloads_of_every_config():
     staged = [u for q in range(Q_MIN, Q_MAX + 1) for u in encode_efforts(scan, q, efforts)]
     assert payload_digest(per_config) == PAYLOAD_SHA256
     assert payload_digest(staged) == PAYLOAD_SHA256
+
+
+def test_decoded_points_of_every_config():
+    scan = generate_corpus(PROFILE, seed=CORPUS_SEED, n_scans=1, scan_hz=SCAN_HZ)[0]
+    h = hashlib.sha256()
+    for q in range(Q_MIN, Q_MAX + 1):
+        for c in range(C_MIN, C_MAX + 1):
+            decoded = decode(encode(scan, CompressionConfig(q, c)))
+            h.update(f"{q},{c},{decoded.n_valid};".encode())
+            h.update(decoded.points.tobytes())
+    assert h.hexdigest() == DECODED_SHA256
 
 
 def sha256_file(path) -> str:
