@@ -1,119 +1,1 @@
 """Rate-adaptive LiDAR point cloud streaming over an emulated bottleneck."""
-
-from .codec import (
-    CompressionConfig,
-    DecodeError,
-    EncodedUnit,
-    PointCloudScan,
-    ResidualStats,
-    decode,
-    encode,
-    residual,
-)
-from .congestion import (
-    ControlParams,
-    CongestionState,
-    FeedbackProtocolError,
-    FeedbackReport,
-    can_send,
-    init_state,
-    on_feedback,
-    target_bitrate,
-    update_srtt,
-)
-from .metrics import MetricsRow, read_metrics, write_metrics
-from .netem import BottleneckLink, LinkConfig, random_walk_trace, step_trace
-from .pipeline import RunError, RunResult, RunSummary, run_scenario
-from .predictor import (
-    ConfigFloor,
-    ConfigGrid,
-    FitError,
-    RateModel,
-    RateSample,
-    SelectionError,
-    build_grid,
-    fit,
-    load_model,
-    predict,
-    save_model,
-    select_config,
-    select_from_grid,
-)
-from .residual_opt import (
-    InfeasibleError,
-    RateBounds,
-    ResidualTable,
-    calibrate,
-    calibrate_detailed,
-    min_rate,
-    read_table,
-    write_table,
-)
-from .scangen import ScanGenerator, SensorProfile, generate_corpus
-from .scenario import BaselineConfig, Scenario, ScenarioError, load_scenario
-from .transport import DatagramReceiver, DatagramSender, Packet, TransportParams
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BaselineConfig",
-    "BottleneckLink",
-    "CompressionConfig",
-    "ConfigFloor",
-    "ConfigGrid",
-    "CongestionState",
-    "ControlParams",
-    "DatagramReceiver",
-    "DatagramSender",
-    "DecodeError",
-    "EncodedUnit",
-    "FeedbackProtocolError",
-    "FeedbackReport",
-    "FitError",
-    "InfeasibleError",
-    "LinkConfig",
-    "MetricsRow",
-    "Packet",
-    "PointCloudScan",
-    "RateBounds",
-    "RateModel",
-    "RateSample",
-    "ResidualStats",
-    "ResidualTable",
-    "RunError",
-    "RunResult",
-    "RunSummary",
-    "ScanGenerator",
-    "Scenario",
-    "ScenarioError",
-    "SelectionError",
-    "SensorProfile",
-    "TransportParams",
-    "build_grid",
-    "calibrate",
-    "calibrate_detailed",
-    "can_send",
-    "decode",
-    "encode",
-    "fit",
-    "generate_corpus",
-    "init_state",
-    "load_model",
-    "load_scenario",
-    "min_rate",
-    "on_feedback",
-    "predict",
-    "random_walk_trace",
-    "read_metrics",
-    "read_table",
-    "residual",
-    "run_scenario",
-    "save_model",
-    "select_config",
-    "select_from_grid",
-    "step_trace",
-    "target_bitrate",
-    "update_srtt",
-    "write_metrics",
-    "write_table",
-]

@@ -2,7 +2,6 @@
 
 Subcommands:
   calibrate  sweep a synthetic corpus, write the residual table and rate model
-  sweep      rate/distortion sweep only (table CSV, no model)
   minrate    residual budget -> minimum viable target bitrate
   run        execute a scenario file
   baseline   execute a scenario with fixed encoder knobs and no feedback
@@ -39,26 +38,9 @@ def _velocity(text: str) -> tuple[float, float]:
     return vx, vy
 
 
-def _add_corpus_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rings", type=int, default=32, help="sensor rings (default 32)")
-    p.add_argument("--azimuth", type=int, default=1024, help="azimuth steps per ring (default 1024)")
-    p.add_argument("--seed", type=int, default=0, help="environment seed")
-    p.add_argument("--scans", type=int, default=60, help="corpus length (default 60)")
-    p.add_argument("--scan-hz", type=float, default=10.0, help="scan rate (default 10)")
-    p.add_argument("--velocity", type=_velocity, default=(1.0, 0.3), metavar="VX,VY",
-                   help="sensor velocity in m/s (default 1.0,0.3)")
-    p.add_argument("--aggregate", choices=AGGREGATES, default="mean",
-                   help="per-config residual aggregation across the corpus")
-    p.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
-
-
-def _make_corpus(args):
-    profile = SensorProfile(rings=args.rings, azimuth_steps=args.azimuth)
-    return generate_corpus(profile, args.seed, args.scans, args.scan_hz, args.velocity)
-
-
 def _cmd_calibrate(args) -> int:
-    corpus = _make_corpus(args)
+    profile = SensorProfile(rings=args.rings, azimuth_steps=args.azimuth)
+    corpus = generate_corpus(profile, args.seed, args.scans, args.scan_hz, args.velocity)
     table, samples = calibrate_detailed(
         corpus, scan_hz=args.scan_hz, aggregate=args.aggregate, n_jobs=args.jobs
     )
@@ -72,16 +54,6 @@ def _cmd_calibrate(args) -> int:
         save_model(model, args.out_model)
         rmse = model.diagnostics.get("rel_rmse", float("nan"))
         print(f"model: {args.out_model} (relative RMSE {rmse:.4f})")
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    corpus = _make_corpus(args)
-    table, _ = calibrate_detailed(
-        corpus, scan_hz=args.scan_hz, aggregate=args.aggregate, n_jobs=args.jobs
-    )
-    write_table(args.out, table)
-    print(f"sweep table: {args.out} ({len(table.rows)} rows, corpus {table.corpus_id})")
     return 0
 
 
@@ -134,19 +106,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("calibrate", help="sweep a corpus; write table, samples, model")
-    _add_corpus_args(p)
+    p.add_argument("--rings", type=int, default=32, help="sensor rings (default 32)")
+    p.add_argument("--azimuth", type=int, default=1024, help="azimuth steps per ring (default 1024)")
+    p.add_argument("--seed", type=int, default=0, help="environment seed")
+    p.add_argument("--scans", type=int, default=60, help="corpus length (default 60)")
+    p.add_argument("--scan-hz", type=float, default=10.0, help="scan rate (default 10)")
+    p.add_argument("--velocity", type=_velocity, default=(1.0, 0.3), metavar="VX,VY",
+                   help="sensor velocity in m/s (default 1.0,0.3)")
+    p.add_argument("--aggregate", choices=AGGREGATES, default="mean",
+                   help="per-config residual aggregation across the corpus")
+    p.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
     p.add_argument("--out-table", required=True, help="residual table CSV path")
     p.add_argument("--out-model", default=None, help="rate model JSON path")
     p.add_argument("--out-samples", default=None, help="raw sweep samples CSV path")
     p.set_defaults(func=_cmd_calibrate)
 
-    p = sub.add_parser("sweep", help="rate/distortion sweep; write table CSV")
-    _add_corpus_args(p)
-    p.add_argument("--out", required=True, help="output table CSV path")
-    p.set_defaults(func=_cmd_sweep)
-
     p = sub.add_parser("minrate", help="residual budget -> minimum target bitrate")
-    p.add_argument("--table", required=True, help="residual table CSV from calibrate/sweep")
+    p.add_argument("--table", required=True, help="residual table CSV from calibrate")
     p.add_argument("--epsilon", type=float, required=True, help="residual budget in meters")
     p.add_argument("--r-max", type=float, default=10e6, help="upper rate bound in bps")
     p.add_argument("--metric", choices=METRICS, default="mean_ptp")

@@ -124,10 +124,6 @@ class EncodedUnit:
     def payload_bits(self) -> int:
         return 8 * len(self.payload)
 
-    @property
-    def wire_size(self) -> int:
-        return _UNIT_HEADER.size + len(self.payload)
-
 
 @dataclass
 class ResidualStats:
@@ -137,20 +133,6 @@ class ResidualStats:
     max_ptp: float
     l2_norm: float
     per_point_l2: np.ndarray = field(repr=False)
-
-
-def pad_scan(points: np.ndarray, n_points: int, scan_id: int = 0, timestamp: float = 0.0) -> PointCloudScan:
-    """Pad a short sweep to n_points by duplicating the last valid return."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 3 or len(points) == 0:
-        raise ValueError(f"points must be a nonempty (n, 3) array, got {points.shape}")
-    if len(points) > n_points:
-        raise ValueError(f"scan has {len(points)} returns, more than n_points={n_points}")
-    n_valid = len(points)
-    if n_valid < n_points:
-        pad = np.repeat(points[-1:], n_points - n_valid, axis=0)
-        points = np.concatenate([points, pad], axis=0)
-    return PointCloudScan(points=points, scan_id=scan_id, timestamp=timestamp, n_valid=n_valid)
 
 
 def _f32_bbox(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

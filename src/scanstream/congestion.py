@@ -155,6 +155,10 @@ def on_feedback(
 ) -> CongestionState:
     """Apply one feedback report.
 
+    The caller settles the seqs the report covers out of
+    state.bytes_in_flight first (transport.DatagramSender.reconcile_inflight,
+    the field's only writer); the growth test below reads the settled value.
+
     Raises FeedbackProtocolError on regressed counters, leaving the state
     untouched so the caller can log and drop the report.
     """
@@ -175,7 +179,6 @@ def on_feedback(
     new_acked = report.cumulative_acked_bytes - state.prev_acked_bytes
     new_ce = report.cumulative_ce_marked_bytes - state.prev_ce_bytes
     new_lost = report.cumulative_lost_packets - state.prev_lost_packets
-    state.bytes_in_flight = max(state.bytes_in_flight - new_acked, 0)
 
     if new_acked > 0 and report.echo_timestamp > state.prev_echo:
         rtt = now - report.echo_timestamp

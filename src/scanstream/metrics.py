@@ -7,7 +7,6 @@ round-trips exact and files byte-stable across runs.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, fields
 
 METRICS_FORMAT = "scanstream-metrics-v1"
@@ -71,9 +70,3 @@ def read_metrics(path) -> list[MetricsRow]:
             }
             rows.append(MetricsRow(**kwargs))
         return rows
-
-
-def finite(values, default: float = math.nan):
-    """Filter NaNs out of a column; empty input collapses to `default`."""
-    out = [v for v in values if not math.isnan(v)]
-    return out if out else [default]

@@ -6,20 +6,17 @@ random loss.  Because service is FIFO and the capacity trace is known, a
 packet's full schedule (service start, finish, delivery) is computable at
 enqueue time; the emulator therefore never needs service events of its own
 and the caller simply schedules each arrival at the returned delivery time.
-
-The reverse (feedback) path is clean: pure propagation delay, no queue and
-no loss, mirroring uplink-constrained cellular asymmetry.
 """
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .congestion import FeedbackReport
 from .transport import ECT1, CE, Packet, packet_wire_size
 
 
@@ -39,6 +36,8 @@ class LinkConfig:
     def __post_init__(self) -> None:
         if not self.capacity_trace:
             raise TraceError("capacity trace is empty")
+        if not all(math.isfinite(t) and math.isfinite(c) for t, c in self.capacity_trace):
+            raise TraceError("capacity trace times and capacities must be finite")
         times = [t for t, _ in self.capacity_trace]
         if times[0] != 0.0:
             raise TraceError(f"capacity trace must start at t=0, got t={times[0]}")
@@ -150,22 +149,9 @@ class BottleneckLink:
 
     # ------------------------------------------------------------ observers
 
-    def queue_bytes(self, now: float) -> int:
-        self._drain_buffer(now)
-        return self._buffer_bytes
-
     def queue_delay(self, now: float) -> float:
         """Queuing delay an arrival at `now` would experience."""
         return max(self._busy_until - now, 0.0)
-
-    # ---------------------------------------------------------- reverse path
-
-    def feedback_delivery(self, report: FeedbackReport, now: float) -> float:
-        return now + self.config.prop_delay
-
-
-def feedback_path(link: BottleneckLink, report: FeedbackReport, now: float) -> float:
-    return link.feedback_delivery(report, now)
 
 
 # ------------------------------------------------------------------- traces
@@ -196,14 +182,6 @@ def random_walk_trace(
         caps[i] = cap
         cap = float(np.clip(cap + rng.normal(0.0, sigma_bps), floor_bps, ceil_bps))
     return tuple((round(i * dt, 9), float(c)) for i, c in enumerate(caps))
-
-
-def write_trace(path, trace) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_seconds", "capacity_bps"])
-        for t, c in trace:
-            writer.writerow([repr(float(t)), repr(float(c))])
 
 
 def read_trace(path) -> tuple[tuple[float, float], ...]:

@@ -26,7 +26,7 @@ from .congestion import (
     on_feedback,
 )
 from .metrics import MetricsRow, write_metrics
-from .netem import BottleneckLink, feedback_path
+from .netem import BottleneckLink
 from .predictor import RateModel, build_grid, load_model, select_from_grid
 from .scangen import ScanGenerator
 from .scenario import Scenario
@@ -171,8 +171,8 @@ class _Runner:
 
     # ------------------------------------------------------------ scheduling
 
-    def _push(self, t: float, prio: int, kind: str, payload=None) -> None:
-        heapq.heappush(self._heap, (t, prio, self._counter, kind, payload))
+    def _push(self, t: float, prio: int, handler, payload=None) -> None:
+        heapq.heappush(self._heap, (t, prio, self._counter, handler, payload))
         self._counter += 1
 
     def _schedule_pace_wake(self) -> None:
@@ -199,7 +199,7 @@ class _Runner:
         self._next_pace = wake
         if wake not in self._pace_pending:
             self._pace_pending.add(wake)
-            self._push(wake, _PACE, "pace")
+            self._push(wake, _PACE, self._on_pace)
 
     # -------------------------------------------------------------- handlers
 
@@ -225,7 +225,7 @@ class _Runner:
             slot = self.link.enqueue(pkt, self.now)
             if slot is not None:
                 delivered, at = slot
-                self._push(at, _ARRIVAL, "arrival", delivered)
+                self._push(at, _ARRIVAL, self._on_arrival, delivered)
         if self.sender.blocked_reason == "pacing":
             self._schedule_pace_wake()
 
@@ -266,7 +266,7 @@ class _Runner:
             self._rate_err_n += 1
         nxt = k + 1
         if nxt / self.sc.scan_hz < self.sc.duration - 1e-9:
-            self._push(nxt / self.sc.scan_hz, _SCAN, "scan", nxt)
+            self._push(nxt / self.sc.scan_hz, _SCAN, self._on_scan, nxt)
 
     def _on_arrival(self, pkt: Packet) -> None:
         self.summary.packets_received += 1
@@ -292,11 +292,18 @@ class _Runner:
             self._all_ptp_worst = stats.mean_ptp
 
     def _emit_feedback(self) -> None:
+        """Send a report back to the sender.
+
+        The reverse path is clean: pure propagation delay, no queue and no
+        loss, mirroring uplink-constrained cellular asymmetry.
+        """
         report = self.receiver.make_feedback(self.now)
         self.summary.feedback_reports += 1
-        self._push(feedback_path(self.link, report, self.now), _FEEDBACK, "feedback", report)
+        self._push(self.now + self.sc.link.prop_delay, _FEEDBACK, self._on_feedback, report)
 
     def _on_feedback(self, report: FeedbackReport) -> None:
+        # settle first: on_feedback's growth test reads the settled value
+        self.sender.reconcile_inflight(self.cc, report.highest_acked_seq)
         try:
             on_feedback(self.cc, self.ccp, report, self.now)
         except FeedbackProtocolError as e:
@@ -305,14 +312,13 @@ class _Runner:
             raise RunError(
                 f"r_trg {self.cc.r_trg} left [{self.cc.r_min}, {self.cc.r_max}] at t={self.now:.6f}"
             )
-        self.sender.reconcile_inflight(self.cc, report.highest_acked_seq)
         self._pace()
 
     def _on_fb_timer(self, _payload) -> None:
         self._emit_feedback()
         nxt = self.now + self.sc.transport.feedback_interval
         if nxt <= self.sc.duration + 1e-9:
-            self._push(nxt, _FB_TIMER, "fb_timer")
+            self._push(nxt, _FB_TIMER, self._on_fb_timer)
 
     def _enc_bitrate(self) -> float:
         horizon = self.now - 1.0
@@ -360,33 +366,25 @@ class _Runner:
         ))
         nxt = m + 1
         if nxt / METRICS_TICK_HZ <= self.sc.duration + 1e-9:
-            self._push(nxt / METRICS_TICK_HZ, _METRICS, "metrics", nxt)
+            self._push(nxt / METRICS_TICK_HZ, _METRICS, self._on_metrics, nxt)
 
     # ------------------------------------------------------------------ loop
 
     def run(self) -> tuple[list[MetricsRow], RunSummary]:
-        self._push(0.0, _SCAN, "scan", 0)
-        self._push(0.0, _METRICS, "metrics", 0)
+        self._push(0.0, _SCAN, self._on_scan, 0)
+        self._push(0.0, _METRICS, self._on_metrics, 0)
         if self.adaptive:
-            self._push(self.sc.transport.feedback_interval, _FB_TIMER, "fb_timer")
+            self._push(self.sc.transport.feedback_interval, _FB_TIMER, self._on_fb_timer)
 
-        handlers = {
-            "arrival": self._on_arrival,
-            "feedback": self._on_feedback,
-            "scan": self._on_scan,
-            "metrics": self._on_metrics,
-            "pace": self._on_pace,
-            "fb_timer": self._on_fb_timer,
-        }
         pending_arrivals = 0
         while self._heap:
-            t, prio, _, kind, payload = heapq.heappop(self._heap)
+            t, prio, _, handler, payload = heapq.heappop(self._heap)
             if t > self.sc.duration + 1e-9:
-                if kind == "arrival":
+                if prio == _ARRIVAL:
                     pending_arrivals += 1
                 continue
             self.now = t
-            handlers[kind](payload)
+            handler(payload)
 
         self._finalize(pending_arrivals)
         return self.rows, self.summary

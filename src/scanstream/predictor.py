@@ -166,10 +166,6 @@ def select_from_grid(grid: ConfigGrid, r_trg: float, floor: ConfigFloor) -> Comp
     return CompressionConfig(q=int(grid.qs[best]), c=int(grid.cs[best]))
 
 
-def select_config(model: RateModel, r_trg: float, n_points: int, floor: ConfigFloor | None = None) -> CompressionConfig:
-    return select_from_grid(build_grid(model, n_points), r_trg, floor or ConfigFloor())
-
-
 # ------------------------------------------------------------------ artifacts
 
 def save_model(model: RateModel, path) -> None:

@@ -179,18 +179,6 @@ def calibrate_detailed(
     return table, samples
 
 
-def calibrate(
-    corpus: list[PointCloudScan],
-    grid: ConfigGrid | None = None,
-    scan_hz: float = 10.0,
-    aggregate: str = "mean",
-    tight_bbox: bool = False,
-    n_jobs: int = 1,
-) -> ResidualTable:
-    table, _ = calibrate_detailed(corpus, grid, scan_hz, aggregate, tight_bbox, n_jobs)
-    return table
-
-
 def min_rate(
     table: ResidualTable,
     epsilon: float,

@@ -14,7 +14,6 @@ consumer, so loss surfaces as missing scans plus controller backoff.
 """
 from __future__ import annotations
 
-import struct
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -24,21 +23,11 @@ from .congestion import CongestionState, ControlParams, FeedbackReport, can_send
 NOT_ECT = 0
 ECT1 = 1
 CE = 3
-_ECN_VALUES = (NOT_ECT, ECT1, CE)
 
-PACKET_MAGIC = b"SSP1"
-FEEDBACK_MAGIC = b"SSF1"
-# u32 seq | u32 scan_id | u16 frag_index | u16 frag_count | u64 send_ns | u8 ecn | u16 len
-_PACKET_HEADER = struct.Struct("<4sIIHHQBH")
-# u32 highest_seq | u64 acked_bytes | u64 ce_bytes | u32 lost | u64 recv_ns | u64 echo_ns
-_FEEDBACK_WIRE = struct.Struct("<4sIQQIQQ")
-
-PACKET_HEADER_BYTES = _PACKET_HEADER.size
-FEEDBACK_WIRE_BYTES = _FEEDBACK_WIRE.size
-
-
-class WireFormatError(ValueError):
-    """Datagram bytes do not parse as a versioned packet or report."""
+# Wire bytes a packet header would take: magic[4] | u32 seq | u32 scan_id |
+# u16 frag_index | u16 frag_count | u64 send_ns | u8 ecn | u16 len.  The
+# simulation passes Packet objects and only charges their size.
+PACKET_HEADER_BYTES = 27
 
 
 @dataclass
@@ -54,66 +43,6 @@ class Packet:
 
 def packet_wire_size(pkt: Packet) -> int:
     return PACKET_HEADER_BYTES + len(pkt.payload)
-
-
-def pack_packet(pkt: Packet) -> bytes:
-    if not (0 <= pkt.frag_index < pkt.frag_count):
-        raise WireFormatError(f"frag_index {pkt.frag_index} outside frag_count {pkt.frag_count}")
-    header = _PACKET_HEADER.pack(
-        PACKET_MAGIC,
-        pkt.seq,
-        pkt.scan_id,
-        pkt.frag_index,
-        pkt.frag_count,
-        round(pkt.send_time * 1e9),
-        pkt.ecn,
-        len(pkt.payload),
-    )
-    return header + pkt.payload
-
-
-def unpack_packet(raw: bytes) -> Packet:
-    if len(raw) < PACKET_HEADER_BYTES:
-        raise WireFormatError(f"datagram of {len(raw)} bytes is shorter than a packet header")
-    magic, seq, scan_id, idx, cnt, send_ns, ecn, length = _PACKET_HEADER.unpack_from(raw)
-    if magic != PACKET_MAGIC:
-        raise WireFormatError(f"bad packet magic {magic!r}")
-    if ecn not in _ECN_VALUES:
-        raise WireFormatError(f"unknown ecn codepoint {ecn}")
-    if idx >= cnt:
-        raise WireFormatError(f"frag_index {idx} outside frag_count {cnt}")
-    payload = raw[PACKET_HEADER_BYTES:]
-    if len(payload) != length:
-        raise WireFormatError(f"payload length {len(payload)} != header length {length}")
-    return Packet(seq, scan_id, idx, cnt, send_ns / 1e9, ecn, payload)
-
-
-def pack_feedback(report: FeedbackReport) -> bytes:
-    return _FEEDBACK_WIRE.pack(
-        FEEDBACK_MAGIC,
-        report.highest_acked_seq,
-        report.cumulative_acked_bytes,
-        report.cumulative_ce_marked_bytes,
-        report.cumulative_lost_packets,
-        round(report.receiver_timestamp * 1e9),
-        round(report.echo_timestamp * 1e9),
-    )
-
-
-def unpack_feedback(raw: bytes) -> FeedbackReport:
-    if len(raw) != FEEDBACK_WIRE_BYTES:
-        raise WireFormatError(f"feedback datagram must be {FEEDBACK_WIRE_BYTES} bytes, got {len(raw)}")
-    magic, highest, acked, ce, lost, recv_ns, echo_ns = _FEEDBACK_WIRE.unpack(raw)
-    if magic != FEEDBACK_MAGIC:
-        raise WireFormatError(f"bad feedback magic {magic!r}")
-    return FeedbackReport(
-        highest_acked_seq=highest,
-        cumulative_acked_bytes=acked,
-        cumulative_ce_marked_bytes=ce,
-        cumulative_lost_packets=lost,
-        receiver_timestamp=recv_ns / 1e9,
-        echo_timestamp=echo_ns / 1e9,
-    )
 
 
 @dataclass(frozen=True)
@@ -166,7 +95,6 @@ class DatagramSender:
         params.validate()
         self.params = params
         self.queue: deque[_QueuedUnit] = deque()
-        self.queue_bytes = 0
         self.drop_log: list[DropRecord] = []
         self.next_seq = 1  # seq 0 is reserved for "nothing acked yet"
         self.sent_packets = 0
@@ -178,10 +106,10 @@ class DatagramSender:
         self._tokens = 0.0
         self._token_stamp: float | None = None
         self._pace_wake = 0.0
-        # (seq, wire bytes) of every packet not yet acked or known lost, in
-        # seq order, and their running total: exact BIF accounting
+        # (seq, wire bytes) of every packet sent under a controller and not
+        # yet acked or known lost, in seq order: the entries behind
+        # CongestionState.bytes_in_flight
         self._inflight: deque[tuple[int, int]] = deque()
-        self._inflight_bytes = 0
 
     # ------------------------------------------------------------- queueing
 
@@ -190,18 +118,12 @@ class DatagramSender:
         blob = pack_unit(unit)
         if len(self.queue) >= self.params.sender_queue_cap:
             victim = self.queue.popleft()
-            self.queue_bytes -= len(victim.blob)
             self.drop_log.append(DropRecord(now, victim.scan_id, len(victim.blob)))
         self.queue.append(_QueuedUnit(unit.scan_id, blob))
-        self.queue_bytes += len(blob)
 
     @property
     def queue_depth(self) -> int:
         return len(self.queue) + (1 if self._frame is not None else 0)
-
-    @property
-    def scans_dropped(self) -> int:
-        return len(self.drop_log)
 
     # -------------------------------------------------------------- sending
 
@@ -228,8 +150,8 @@ class DatagramSender:
         window-sized clumps; the sliding-window budget stays on as the hard
         bound on bytes per pacing_window (with a one-packet minimum grant
         when the window is empty). cc_state None disables the congestion
-        window gate entirely (fixed-rate baseline operation); pacing still
-        applies.
+        window gate and the in-flight ledger entirely (fixed-rate baseline
+        operation: no feedback ever settles a seq); pacing still applies.
         """
         if pacing_rate <= 0:
             raise ValueError(f"pacing_rate must be positive, got {pacing_rate}")
@@ -251,7 +173,6 @@ class DatagramSender:
                     self.blocked_reason = "idle"
                     break
                 unit = self.queue.popleft()
-                self.queue_bytes -= len(unit.blob)
                 chunks = [unit.blob[i : i + mtu] for i in range(0, len(unit.blob), mtu)]
                 if len(chunks) > 65535:
                     raise ValueError(f"unit of {len(unit.blob)} bytes exceeds 65535 fragments")
@@ -289,9 +210,8 @@ class DatagramSender:
             self._window.append((now, wire))
             self._window_bytes += wire
             self._tokens -= wire
-            self._inflight.append((pkt.seq, wire))
-            self._inflight_bytes += wire
             if cc_state is not None:
+                self._inflight.append((pkt.seq, wire))
                 cc_state.bytes_in_flight += wire
             frame.sent_bytes += len(payload)
             frame.next_index += 1
@@ -310,25 +230,27 @@ class DatagramSender:
         return max(self._pace_wake, now)
 
     def reconcile_inflight(self, cc_state: CongestionState, highest_acked_seq: int) -> None:
-        """Resync bytes_in_flight with the per-seq ledger after feedback.
+        """Settle every seq a feedback report covers out of bytes_in_flight.
 
-        The link delivers in order, so every seq at or below the highest
-        acked one has either arrived (acked) or been dropped; both must
-        leave the in-flight count or losses would inflate it forever.
-        Seqs enter the ledger in ascending order, so they leave from its
-        front and a report costs O(seqs it settles).
+        The sender is the only writer of cc_state.bytes_in_flight: it adds
+        each packet at send and subtracts it here.  The link delivers in
+        order, so every seq at or below the highest acked one has either
+        arrived (acked) or been dropped; both must leave the in-flight count
+        or losses would inflate it forever.  Seqs enter the ledger in
+        ascending order, so they leave from its front and a report costs
+        O(seqs it settles).
         """
         inflight = self._inflight
+        settled = 0
         while inflight and inflight[0][0] <= highest_acked_seq:
-            self._inflight_bytes -= inflight.popleft()[1]
-        cc_state.bytes_in_flight = self._inflight_bytes
+            settled += inflight.popleft()[1]
+        cc_state.bytes_in_flight -= settled
 
 
 @dataclass
 class _PartialScan:
     frag_count: int
     fragments: dict[int, bytes] = field(default_factory=dict)
-    received_bytes: int = 0
 
 
 class DatagramReceiver:
@@ -380,7 +302,6 @@ class DatagramReceiver:
             self.duplicate_packets += 1
             return None
         part.fragments[pkt.frag_index] = pkt.payload
-        part.received_bytes += len(pkt.payload)
         if len(part.fragments) < part.frag_count:
             return None
 
@@ -394,9 +315,6 @@ class DatagramReceiver:
             return None
         self.delivered_scans += 1
         return unit
-
-    def incomplete_scans(self) -> int:
-        return len(self._partial)
 
     def expire_partials_below(self, scan_id: int) -> list[int]:
         """Drop partial scans older than an arriving one; returns their ids.

@@ -61,18 +61,6 @@ def test_calibrate_reports_outputs(cal_dir, capsys, tmp_path):
     assert read_table(tmp_path / "t.csv").aggregate == "worst"
 
 
-def test_sweep_writes_table(tmp_path, capsys):
-    rc = cli([
-        "sweep", "--rings", "8", "--azimuth", "64", "--scans", "2",
-        "--seed", "5", "--out", str(tmp_path / "sweep.csv"),
-    ])
-    assert rc == 0
-    table = read_table(tmp_path / "sweep.csv")
-    assert len(table.rows) == 170
-    assert table.corpus_id.startswith("2x512-")
-    assert "sweep table" in capsys.readouterr().out
-
-
 def test_minrate_matches_library(cal_dir, capsys):
     rc = cli(["minrate", "--table", str(cal_dir / "table.csv"), "--epsilon", "0.05"])
     assert rc == 0
@@ -138,7 +126,7 @@ def test_unknown_subcommand_exit_2():
 
 def test_bad_velocity_exit_2():
     with pytest.raises(SystemExit) as exc:
-        cli(["sweep", "--velocity", "fast", "--out", "x.csv"])
+        cli(["calibrate", "--velocity", "fast", "--out-table", "x.csv"])
     assert exc.value.code == 2
 
 

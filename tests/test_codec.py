@@ -21,7 +21,6 @@ from scanstream.codec import (
     encode,
     encode_efforts,
     pack_unit,
-    pad_scan,
     residual,
     unpack_unit,
 )
@@ -33,7 +32,7 @@ def cloud(n, seed=0, span=40.0):
 
 
 def make_scan(n, seed=0, scan_id=0):
-    return pad_scan(cloud(n, seed), n, scan_id=scan_id)
+    return PointCloudScan(cloud(n, seed), scan_id=scan_id)
 
 
 # ------------------------------------------------------------------ config
@@ -93,7 +92,7 @@ def test_encode_deterministic():
 def test_encode_leaves_the_scan_unchanged(n):
     # one point, or Fortran-ordered points, transpose to a contiguous view
     for points in (cloud(n, 4), np.asfortranarray(cloud(n, 4))):
-        scan = pad_scan(points, n)
+        scan = PointCloudScan(points)
         before = scan.points.copy()
         for q in (16, 24):
             out = decode(encode(scan, CompressionConfig(q, 9, tight_bbox=True)))
@@ -160,7 +159,7 @@ def test_unit_metadata_and_sizes():
     unit = encode(scan, CompressionConfig(12, 4))
     assert (unit.scan_id, unit.q, unit.c) == (77, 12, 4)
     assert unit.payload_bits == 8 * len(unit.payload)
-    assert unit.wire_size > len(unit.payload)
+    assert len(pack_unit(unit)) > len(unit.payload)
 
 
 def test_tight_bbox_roundtrip():
@@ -259,7 +258,7 @@ def fuzz_units():
     rng = np.random.default_rng(5)
     points = np.concatenate([rng.uniform(-40, 40, (FUZZ_POINTS // 2, 3)),
                              rng.uniform(0, 0.4, (FUZZ_POINTS // 2, 3))])
-    scan = pad_scan(points, FUZZ_POINTS)
+    scan = PointCloudScan(points)
     units = []
     for q in FUZZ_QS:
         for delta_mode, c in enumerate((0, 9)):
@@ -306,16 +305,9 @@ def test_decode_of_mutated_payloads_is_bounded(which, flips, cut, extra):
 
 def test_out_of_range_points_rejected():
     points = np.array([[0.0, 0.0, 0.0], [60.0, 0.0, 0.0]])  # outside the 50 m box
-    scan = pad_scan(points, 2)
+    scan = PointCloudScan(points)
     with pytest.raises(OutOfRangeError):
         encode(scan, CompressionConfig(10, 0))
-
-
-def test_pad_scan_pads_and_rejects_excess():
-    scan = pad_scan(cloud(10, 6), 16)
-    assert scan.n_points == 16
-    with pytest.raises(ValueError):
-        pad_scan(cloud(10, 6), 4)
 
 
 def test_residual_zero_on_identity():

@@ -89,12 +89,14 @@ def test_can_send_gate_opens_during_frame():
 # -------------------------------------------------------------- on_feedback
 
 
-def test_ack_shrinks_bytes_in_flight():
+def test_on_feedback_leaves_bytes_in_flight_alone():
+    # the sender settles the report's seqs (reconcile_inflight) before the
+    # controller sees it; on_feedback must not take the acked bytes off again
     state = fresh()
     state.bytes_in_flight = 5000
     on_feedback(state, PARAMS, report(highest_acked_seq=2, cumulative_acked_bytes=2400,
                                       echo_timestamp=0.01, receiver_timestamp=0.03), now=0.05)
-    assert state.bytes_in_flight == 2600
+    assert state.bytes_in_flight == 5000
     assert state.srtt == pytest.approx(0.04)
 
 

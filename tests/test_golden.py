@@ -1,6 +1,6 @@
 """Byte-identity locks: digests of the codec's payloads and decoded points,
-the suite's fitted model, the step run's metrics CSV and the tiny-MTU run's
-metrics CSV.
+the suite's fitted model, the step run's metrics CSV in adaptive and
+baseline mode, and the tiny-MTU run's metrics CSV.
 
 The payload, model and step digests were recorded before the encoder was
 split into a geometry and a packing stage; the model and step digests are
@@ -9,7 +9,9 @@ recorded before the event loop stopped pushing duplicate pace wakes; it is
 the only lock on the loss path (tail drops, loss cuts, expired partial
 scans, lost sequence numbers leaving the in-flight ledger), which the step
 run never enters.  The decoded-points digest was recorded while Morton
-codes were still three 24-bit limbs, before they became 64-bit words.  A
+codes were still three 24-bit limbs, before they became 64-bit words.  The
+baseline digest was recorded before the sender stopped keeping an in-flight
+ledger without a controller; it is the only lock on the fixed-rate path.  A
 change that moves any of them changes behaviour, and must say so.
 """
 from __future__ import annotations
@@ -37,6 +39,7 @@ MODEL_SHA256 = "225fa8fe5fd688c74b60aea4d45946ac14b2868fa769af0c63bfbbe97ee9c247
 STEP_METRICS_SHA256 = "7bc52fa60c8e2d74337b3b5440fc252350979c3d49fc0f1fe87ea8a4689ba67e"
 DECODED_SHA256 = "bc9766f93e4e1d9551ce008522b3bc91c45a8574961bfed4844e79262d325402"
 TINY_MTU_METRICS_SHA256 = "ccd9bcf4b81514752810aa340436e0360e445efd0ee6ca42bfe60656f9102a82"
+BASELINE_METRICS_SHA256 = "a18863d6f6635b7874a9def72ecdf4c7ad2fbaf39754d2af6f8bd2cd610f0ff0"
 
 
 def payload_digest(units) -> str:
@@ -81,6 +84,11 @@ def test_fitted_model_bytes(model, tmp_path):
 def test_step_run_metrics_bytes(adaptive_run, tmp_path):
     write_metrics(tmp_path / "step.csv", adaptive_run.rows)
     assert sha256_file(tmp_path / "step.csv") == STEP_METRICS_SHA256
+
+
+def test_baseline_run_metrics_bytes(baseline_run, tmp_path):
+    write_metrics(tmp_path / "baseline.csv", baseline_run.rows)
+    assert sha256_file(tmp_path / "baseline.csv") == BASELINE_METRICS_SHA256
 
 
 def test_tiny_mtu_run_metrics_bytes(tiny_mtu_run, tmp_path):

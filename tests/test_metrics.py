@@ -8,7 +8,6 @@ from scanstream.metrics import (
     COLUMNS,
     METRICS_FORMAT,
     MetricsRow,
-    finite,
     read_metrics,
     write_metrics,
 )
@@ -109,13 +108,3 @@ def test_column_mismatch_rejected(tmp_path):
     path.write_text(f"# {METRICS_FORMAT}\n" + ",".join(cols) + "\n")
     with pytest.raises(ValueError, match="column mismatch"):
         read_metrics(path)
-
-
-def test_finite_filters_nans():
-    assert finite([1.0, math.nan, 2.0]) == [1.0, 2.0]
-
-
-def test_finite_empty_collapses_to_default():
-    out = finite([math.nan, math.nan], default=0.0)
-    assert out == [0.0]
-    assert math.isnan(finite([])[0])

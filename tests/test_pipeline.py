@@ -1,5 +1,6 @@
 """Closed-loop runs on simple links: saturation, determinism, accounting."""
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -12,7 +13,7 @@ from scanstream.netem import LinkConfig
 from scanstream.pipeline import _FEEDBACK, METRICS_TICK_HZ, RunError, _Runner, run_scenario
 from scanstream.predictor import build_grid
 from scanstream.scenario import BaselineConfig, ScanSourceConfig, Scenario
-from scanstream.transport import TransportParams
+from scanstream.transport import DatagramReceiver, TransportParams
 
 
 def make_scenario(bounds, duration=20.0, mode="adaptive", capacity=20.0e6,
@@ -182,6 +183,35 @@ def test_pacing_work_per_packet(name, fixture, limit, request):
     assert len(set(probe.wake_instants)) == len(probe.wake_instants)
 
 
+def test_feedback_path_adds_prop_delay(bounds, model, monkeypatch):
+    # the reverse path is pure propagation delay: every report lands, in
+    # order, exactly prop_delay after the receiver made it
+    made, landed = [], []
+    make_feedback = DatagramReceiver.make_feedback
+    on_feedback = _Runner._on_feedback
+
+    def recorded_make_feedback(self, now):
+        report = make_feedback(self, now)
+        made.append((now, report))
+        return report
+
+    def recorded_on_feedback(self, report):
+        landed.append((self.now, report))
+        return on_feedback(self, report)
+
+    monkeypatch.setattr(DatagramReceiver, "make_feedback", recorded_make_feedback)
+    monkeypatch.setattr(_Runner, "_on_feedback", recorded_on_feedback)
+    scenario = make_scenario(bounds, duration=2.0)
+    scenario.link = dataclasses.replace(scenario.link, prop_delay=0.015)
+    run_scenario(scenario, model=model)
+    assert len(landed) > 100
+    # reports made in the last 15 ms land after the run ends
+    assert all(t > 2.0 - 0.015 for t, _ in made[len(landed):])
+    for (t_made, sent), (t_landed, got) in zip(made, landed):
+        assert got is sent
+        assert t_landed == t_made + 0.015
+
+
 def test_feedback_at_a_pace_instant_does_not_stall_the_sender(bounds, model, monkeypatch):
     # A report landing exactly on a pending pace wake paces first, finds the
     # wake already scheduled and pushes nothing; the wake must still fire
@@ -195,7 +225,7 @@ def test_feedback_at_a_pace_instant_does_not_stall_the_sender(bounds, model, mon
             assert self.sender.blocked_reason == "pacing"
             collisions.append(self._next_pace)
             report = self.receiver.make_feedback(self.now)
-            self._push(self._next_pace, _FEEDBACK, "feedback", report)
+            self._push(self._next_pace, _FEEDBACK, self._on_feedback, report)
 
     monkeypatch.setattr(_Runner, "_on_scan", on_scan_then_feedback)
     with probe_pacing() as probe:

@@ -17,7 +17,6 @@ from scanstream.predictor import (
     predict,
     read_samples,
     save_model,
-    select_config,
     select_from_grid,
     write_samples,
 )
@@ -122,13 +121,6 @@ def test_select_empty_floor_raises():
     grid = build_grid(model, 4096)
     with pytest.raises(SelectionError):
         select_from_grid(grid, 1e6, ConfigFloor(min_q=Q_MAX + 1))
-
-
-def test_select_config_matches_grid_path():
-    model = fit(synth_samples(), 10.0)
-    a = select_config(model, 2.0e6, 4096)
-    b = select_from_grid(build_grid(model, 4096), 2.0e6, ConfigFloor())
-    assert (a.q, a.c) == (b.q, b.c)
 
 
 def test_model_io_roundtrip(tmp_path):

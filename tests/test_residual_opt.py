@@ -7,7 +7,6 @@ from scanstream.residual_opt import (
     CalibrationError,
     InfeasibleError,
     ResidualTable,
-    calibrate,
     calibrate_detailed,
     min_rate,
     read_table,
@@ -81,8 +80,8 @@ def test_parallel_calibration_matches_serial():
 
 def test_worst_aggregate_upper_bounds_mean():
     corpus = generate_corpus(SMALL, seed=8, n_scans=3)
-    mean_t = calibrate(corpus, aggregate="mean")
-    worst_t = calibrate(corpus, aggregate="worst")
+    mean_t, _ = calibrate_detailed(corpus, aggregate="mean")
+    worst_t, _ = calibrate_detailed(corpus, aggregate="worst")
     for m, w in zip(mean_t.rows, worst_t.rows):
         assert w.mean_ptp >= m.mean_ptp - 1e-15
         assert w.max_ptp >= m.max_ptp - 1e-15

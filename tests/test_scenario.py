@@ -5,7 +5,6 @@ import math
 import pytest
 import yaml
 
-from scanstream.netem import write_trace
 from scanstream.scenario import (
     MODES,
     SCENARIO_VERSION,
@@ -182,11 +181,22 @@ def test_link_trace_and_trace_file_mutually_exclusive(tmp_path):
 def test_trace_file_resolved_relative_to_scenario(tmp_path):
     sub = tmp_path / "cfg"
     sub.mkdir()
-    trace = ((0.0, 6.0e6), (10.0, 2.0e6))
-    write_trace(sub / "cap.csv", trace)
+    (sub / "cap.csv").write_text("t_seconds,capacity_bps\n0.0,6000000.0\n10.0,2000000.0\n")
     doc = dict(MINIMAL, link={"trace_file": "cap.csv"})
     scn = load_scenario(write_scenario(sub, doc))
-    assert scn.link.capacity_trace == trace
+    assert scn.link.capacity_trace == ((0.0, 6.0e6), (10.0, 2.0e6))
+
+
+def test_non_finite_trace_raises_at_load(tmp_path):
+    inline = dict(MINIMAL, link={"trace": [[0.0, 5.0e6], [10.0, float("nan")]]})
+    path = write_scenario(tmp_path, inline)
+    assert ".nan" in path.read_text()
+    with pytest.raises(ScenarioError, match="finite"):
+        load_scenario(path)
+    (tmp_path / "cap.csv").write_text("t_seconds,capacity_bps\n0.0,nan\n")
+    from_file = dict(MINIMAL, link={"trace_file": "cap.csv"})
+    with pytest.raises(ScenarioError, match="finite"):
+        load_scenario(write_scenario(tmp_path, from_file))
 
 
 def test_rate_bounds_requires_both_rates(tmp_path):
