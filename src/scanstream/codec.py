@@ -15,7 +15,8 @@ permutation stream and the delta bit matrix.  The packing stage runs per
 c: it picks the delta stream plan and writes the delta stream and the
 payload header.  `encode_efforts` runs the geometry once for many c;
 `encode` is its one-c case.  Since c only changes how the deltas are
-packed, every c at one q decodes to the same points.
+packed, every c at one q decodes to the same points: the cell centers
+that `reconstruct` computes without encoding.
 
 Cell indices travel as a (3, n) stack, one row per axis, and Morton codes
 as uint64 words (see bitpack): one word for q <= 21, whose codes have at
@@ -33,7 +34,7 @@ Payload layout (after the unit wire header, little endian):
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,7 +133,6 @@ class ResidualStats:
     mean_ptp: float
     max_ptp: float
     l2_norm: float
-    per_point_l2: np.ndarray = field(repr=False)
 
 
 def _f32_bbox(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -392,6 +392,14 @@ def decode(unit: EncodedUnit) -> PointCloudScan:
     return PointCloudScan(points=points, scan_id=unit.scan_id, timestamp=0.0, n_valid=n_valid)
 
 
+def reconstruct(scan: PointCloudScan, q: int, tight_bbox: bool = False) -> PointCloudScan:
+    """The points every unit of `scan` at quantization q decodes to, without encoding."""
+    CompressionConfig(q, C_MIN, tight_bbox).validate()
+    bbox = _coding_bbox(scan, tight_bbox)
+    points = _dequantize(_quantize(scan.points, bbox, q), bbox, q)
+    return PointCloudScan(points=points, scan_id=scan.scan_id, n_valid=scan.n_valid)
+
+
 def _unsort(sorted_values: np.ndarray, order: np.ndarray) -> np.ndarray:
     out = np.empty_like(sorted_values)
     out[order] = sorted_values
@@ -419,7 +427,6 @@ def residual(original: PointCloudScan, decoded: PointCloudScan) -> ResidualStats
         mean_ptp=float(valid.mean()),
         max_ptp=float(valid.max()),
         l2_norm=float(np.sqrt(np.sum(valid * valid))),
-        per_point_l2=per_point,
     )
 
 

@@ -10,8 +10,9 @@ out as 8 * w_ref / srtt, clamped to the configured operating range.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 class FeedbackProtocolError(ValueError):
@@ -32,6 +33,8 @@ class ControlParams:
     owd_window: float = 10.0  # seconds of one-way-delay history for the min filter
 
     def validate(self) -> None:
+        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
+            raise ValueError(f"every parameter must be finite, got {self}")
         if self.overshoot_factor < 1:
             raise ValueError(f"overshoot_factor must be >= 1, got {self.overshoot_factor}")
         if not (0 < self.loss_beta < 1 and 0 < self.ce_beta < 1):
@@ -40,8 +43,8 @@ class ControlParams:
             raise ValueError(f"srtt_alpha must lie in (0, 1], got {self.srtt_alpha}")
         if not (0 < self.w_min <= self.w_max):
             raise ValueError(f"need 0 < w_min <= w_max, got ({self.w_min}, {self.w_max})")
-        if self.queue_delay_target <= 0 or self.increase_gain <= 0 or self.mss <= 0:
-            raise ValueError("queue_delay_target, increase_gain, mss must be positive")
+        if min(self.queue_delay_target, self.increase_gain, self.mss, self.owd_window) <= 0:
+            raise ValueError("queue_delay_target, increase_gain, mss, owd_window must be positive")
 
 
 @dataclass(frozen=True)

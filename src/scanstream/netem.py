@@ -45,17 +45,12 @@ class LinkConfig:
             raise TraceError("capacity trace times must be strictly increasing")
         if any(c <= 0 for _, c in self.capacity_trace):
             raise TraceError("capacities must be positive")
-        if self.prop_delay < 0 or self.ce_threshold < 0:
-            raise ValueError("delays must be nonnegative")
-        if self.queue_limit <= 0:
-            raise ValueError(f"queue_limit must be positive, got {self.queue_limit}")
+        if not all(0 <= d < math.inf for d in (self.prop_delay, self.ce_threshold)):
+            raise ValueError("delays must be finite and nonnegative")
+        if not (0 < self.queue_limit < math.inf):
+            raise ValueError(f"queue_limit must be positive and finite, got {self.queue_limit}")
         if not (0.0 <= self.loss_rate < 1.0):
             raise ValueError(f"loss_rate must be in [0, 1), got {self.loss_rate}")
-
-    def capacity_at(self, t: float) -> float:
-        times = [tt for tt, _ in self.capacity_trace]
-        idx = bisect_right(times, t) - 1
-        return self.capacity_trace[max(idx, 0)][1]
 
 
 @dataclass
@@ -66,11 +61,7 @@ class LinkLedger:
     accepted: int = 0
     tail_dropped: int = 0
     random_lost: int = 0
-    delivered: int = 0
     ce_marked: int = 0
-    offered_bytes: int = 0
-    delivered_bytes: int = 0
-    dropped_bytes: int = 0
 
 
 @dataclass
@@ -124,14 +115,12 @@ class BottleneckLink:
         """
         wire = packet_wire_size(pkt)
         self.ledger.offered += 1
-        self.ledger.offered_bytes += wire
         if self.config.loss_rate > 0.0 and self._rng.random() < self.config.loss_rate:
             self.ledger.random_lost += 1
             return None
         self._drain_buffer(now)
         if self._buffer_bytes + wire > self.config.queue_limit:
             self.ledger.tail_dropped += 1
-            self.ledger.dropped_bytes += wire
             return None
         self.ledger.accepted += 1
         start = max(now, self._busy_until)
@@ -143,11 +132,14 @@ class BottleneckLink:
         if queue_delay > self.config.ce_threshold and pkt.ecn == ECT1:
             pkt.ecn = CE
             self.ledger.ce_marked += 1
-        self.ledger.delivered += 1
-        self.ledger.delivered_bytes += wire
         return pkt, end + self.config.prop_delay
 
     # ------------------------------------------------------------ observers
+
+    def capacity_at(self, t: float) -> float:
+        """Trace capacity in force at time t."""
+        idx = max(bisect_right(self._trace_times, t) - 1, 0)
+        return self.config.capacity_trace[idx][1]
 
     def queue_delay(self, now: float) -> float:
         """Queuing delay an arrival at `now` would experience."""

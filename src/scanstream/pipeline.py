@@ -6,9 +6,10 @@ seeded, all state transitions happen inside event handlers, and ties in the
 event heap break on (priority, insertion counter), so a scenario replays
 byte-for-byte.
 
-The receiver-side residual measurement compares decoded scans against the
-originals through a side channel that exists only in emulation; nothing on
-the wire carries it.
+A scan's reconstruction error is taken at encode from its quantized cells
+and held by scan id until delivery; nothing on the wire carries it.  The
+emulated link never corrupts bytes and `decode` is a pure function of the
+payload, so decoding each delivered unit again would add no information.
 """
 from __future__ import annotations
 
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import CompressionConfig, EncodedUnit, PointCloudScan, decode, encode, residual
+# decode is unused here but stays bound: perfbench wraps it on codec and this module alike
+from .codec import CompressionConfig, EncodedUnit, decode, encode, reconstruct, residual  # noqa: F401
 from .congestion import (
     CongestionState,
     FeedbackProtocolError,
@@ -152,7 +154,7 @@ class _Runner:
         self._pace_pending: set[float] = set()  # instants with a pace event in the heap
         self.now = 0.0
 
-        self.originals: dict[int, PointCloudScan] = {}
+        self.pending_ptp: dict[int, float] = {}  # scan id -> mean_ptp, until delivered or lost
         self.rows: list[MetricsRow] = []
         self.summary = RunSummary(mode=scenario.mode, duration=scenario.duration)
 
@@ -237,15 +239,13 @@ class _Runner:
     def _consume_sender_drops(self) -> None:
         log = self.sender.drop_log
         while self._drops_seen < len(log):
-            rec = log[self._drops_seen]
+            self.pending_ptp.pop(log[self._drops_seen], None)
             self._drops_seen += 1
-            self.originals.pop(rec.scan_id, None)
             self.summary.scans_dropped_sender += 1
 
     def _on_scan(self, k: int) -> None:
         t = self.now
         scan = self.gen.generate(t, scan_id=k)
-        self.originals[k] = scan
         self.summary.scans_generated += 1
         if self.adaptive:
             cfg = select_from_grid(self.grid, self.cc.r_trg, self.floor)
@@ -255,9 +255,10 @@ class _Runner:
         else:
             cfg = self.base_cfg
         unit = encode(scan, cfg)
+        self.pending_ptp[k] = residual(scan, reconstruct(scan, cfg.q, cfg.tight_bbox)).mean_ptp
         self._last_q, self._last_c = cfg.q, cfg.c
         self._enc_window.append((t, unit.payload_bits))
-        self.sender.enqueue_unit(unit, t)
+        self.sender.enqueue_unit(unit)
         self._consume_sender_drops()
         self._pace()
         if self.adaptive:
@@ -271,7 +272,7 @@ class _Runner:
     def _on_arrival(self, pkt: Packet) -> None:
         self.summary.packets_received += 1
         for dead in self.receiver.expire_partials_below(pkt.scan_id):
-            self.originals.pop(dead, None)
+            self.pending_ptp.pop(dead, None)
             self.summary.scans_lost_network += 1
         unit = self.receiver.receive_packet(pkt, self.now)
         if unit is not None:
@@ -280,16 +281,14 @@ class _Runner:
             self._emit_feedback()
 
     def _deliver(self, unit: EncodedUnit) -> None:
-        original = self.originals.pop(unit.scan_id, None)
-        if original is None:
+        ptp = self.pending_ptp.pop(unit.scan_id, None)
+        if ptp is None:
             raise RunError(f"scan {unit.scan_id} delivered twice or never sent")
-        decoded = decode(unit)
-        stats = residual(original, decoded)
         self.summary.scans_delivered += 1
-        self._tick_ptp.append(stats.mean_ptp)
-        self._all_ptp_sum += stats.mean_ptp
-        if not (stats.mean_ptp <= self._all_ptp_worst):
-            self._all_ptp_worst = stats.mean_ptp
+        self._tick_ptp.append(ptp)
+        self._all_ptp_sum += ptp
+        if not (ptp <= self._all_ptp_worst):
+            self._all_ptp_worst = ptp
 
     def _emit_feedback(self) -> None:
         """Send a report back to the sender.
@@ -354,7 +353,7 @@ class _Runner:
             est_queue_delay=est_qd,
             r_trg=r_trg,
             enc_bitrate=self._enc_bitrate(),
-            link_capacity=self.sc.link.capacity_at(t),
+            link_capacity=self.link.capacity_at(t),
             link_queue_delay=self.link.queue_delay(t),
             q_used=self._last_q,
             c_used=self._last_c,
@@ -398,7 +397,7 @@ class _Runner:
         s.wire_bytes_sent = self.sender.sent_wire_bytes
         s.wire_bytes_delivered = self.receiver.cumulative_acked_bytes
         s.ce_marked_packets = self.link.ledger.ce_marked
-        s.scans_pending = len(self.originals)
+        s.scans_pending = len(self.pending_ptp)
 
         delays = [row.link_queue_delay for row in self.rows]
         if delays:

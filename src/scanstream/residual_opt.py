@@ -91,17 +91,17 @@ def _corpus_fingerprint(corpus: list[PointCloudScan]) -> str:
 
 
 def _sweep_column(args):
-    """Stats per scan for every c at one q, from one encode and decode per scan.
+    """Stats per scan for every c at one q, from one encode per scan and no decode.
 
     Each c only repacks the same geometry, so every c decodes to the same
-    points: the residual of one unit stands for the column, while each rate
-    is that c's real payload size.
+    points, the scan's reconstruction at q: its residual stands for the
+    column, while each rate is that c's real payload size.
     """
     corpus, q, c_values, scan_hz, tight_bbox = args
     stats = {c: [] for c in c_values}
     for scan in corpus:
         units = codec.encode_efforts(scan, q, c_values, tight_bbox)
-        res = codec.residual(scan, codec.decode(units[0]))
+        res = codec.residual(scan, codec.reconstruct(scan, q, tight_bbox))
         for unit in units:
             bps = unit.payload_bits * scan_hz
             stats[unit.c].append((res.mean_ptp, res.max_ptp, res.l2_norm, bps))
@@ -116,7 +116,7 @@ def calibrate_detailed(
     tight_bbox: bool = False,
     n_jobs: int = 1,
 ) -> tuple[ResidualTable, list[RateSample]]:
-    """Grid encode/decode/residual sweep over a corpus.
+    """Grid encode/residual sweep over a corpus.
 
     `grid` names the (q, c) entries to sweep; None means the full Q x C
     product (predictions attached to the grid are ignored, only its entries

@@ -7,6 +7,7 @@ instead of silently running defaults.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -61,16 +62,16 @@ class Scenario:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ScenarioError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.scan_hz <= 0:
-            raise ScenarioError(f"scan_hz must be positive, got {self.scan_hz}")
-        if self.duration <= 0:
-            raise ScenarioError(f"duration must be positive, got {self.duration}")
+        if not (0 < self.scan_hz < math.inf):
+            raise ScenarioError(f"scan_hz must be positive and finite, got {self.scan_hz}")
+        if not (0 < self.duration < math.inf):
+            raise ScenarioError(f"duration must be positive and finite, got {self.duration}")
         self.control.validate()
         if self.mode == "adaptive" and self.model_path is not None:
             if not os.path.exists(self.model_path):
                 raise ScenarioError(f"model file does not exist: {self.model_path}")
-        if self.mode == "baseline" and self.baseline.pacing_bps <= 0:
-            raise ScenarioError("baseline pacing_bps must be positive")
+        if self.mode == "baseline" and not (0 < self.baseline.pacing_bps < math.inf):
+            raise ScenarioError("baseline pacing_bps must be positive and finite")
 
 
 def _take(section: dict, allowed: set[str], where: str) -> dict:
@@ -173,6 +174,7 @@ def load_scenario(path) -> Scenario:
     }
     try:
         control = ControlParams(**_take(doc.get("control", {}), ctrl_allowed, "control"))
+        control.validate()
     except ValueError as e:
         raise ScenarioError(f"control: {e}") from None
 

@@ -14,8 +14,9 @@ consumer, so loss surfaces as missing scans plus controller backoff.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .codec import DecodeError, EncodedUnit, pack_unit, unpack_unit
 from .congestion import CongestionState, ControlParams, FeedbackReport, can_send
@@ -55,6 +56,8 @@ class TransportParams:
     feedback_every_packets: int = 2
 
     def validate(self) -> None:
+        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
+            raise ValueError(f"every parameter must be finite, got {self}")
         if self.mtu_payload <= 0 or self.mtu_payload > 65535:
             raise ValueError(f"mtu_payload must be in (0, 65535], got {self.mtu_payload}")
         if self.sender_queue_cap < 1:
@@ -65,13 +68,6 @@ class TransportParams:
             raise ValueError("pacing_window and feedback_interval must be positive")
         if self.feedback_every_packets < 1:
             raise ValueError("feedback_every_packets must be >= 1")
-
-
-@dataclass(frozen=True)
-class DropRecord:
-    time: float
-    scan_id: int
-    unit_bytes: int
 
 
 @dataclass
@@ -95,7 +91,7 @@ class DatagramSender:
         params.validate()
         self.params = params
         self.queue: deque[_QueuedUnit] = deque()
-        self.drop_log: list[DropRecord] = []
+        self.drop_log: list[int] = []  # ids of the scans dropped from the queue, in order
         self.next_seq = 1  # seq 0 is reserved for "nothing acked yet"
         self.sent_packets = 0
         self.sent_wire_bytes = 0
@@ -113,12 +109,12 @@ class DatagramSender:
 
     # ------------------------------------------------------------- queueing
 
-    def enqueue_unit(self, unit: EncodedUnit, now: float) -> None:
+    def enqueue_unit(self, unit: EncodedUnit) -> None:
         """Append a unit; beyond the cap the oldest queued unit is dropped."""
         blob = pack_unit(unit)
         if len(self.queue) >= self.params.sender_queue_cap:
             victim = self.queue.popleft()
-            self.drop_log.append(DropRecord(now, victim.scan_id, len(victim.blob)))
+            self.drop_log.append(victim.scan_id)
         self.queue.append(_QueuedUnit(unit.scan_id, blob))
 
     @property

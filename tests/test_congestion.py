@@ -237,4 +237,6 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ControlParams(w_min=0.0).validate()
     with pytest.raises(ValueError):
+        ControlParams(owd_window=-1.0).validate()
+    with pytest.raises(ValueError):
         init_state(PARAMS, 10e6, 3e6)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 from conftest import CORPUS_SEED, PROFILE, SCAN_HZ
 
 from scanstream.codec import (
@@ -29,6 +30,7 @@ from scanstream.codec import (
     decode,
     encode,
     encode_efforts,
+    reconstruct,
 )
 from scanstream.metrics import write_metrics
 from scanstream.predictor import save_model
@@ -70,6 +72,18 @@ def test_decoded_points_of_every_config():
             h.update(f"{q},{c},{decoded.n_valid};".encode())
             h.update(decoded.points.tobytes())
     assert h.hexdigest() == DECODED_SHA256
+
+
+def test_decode_equals_reconstruction():
+    # what lets the run and the sweep take each scan's error without decoding
+    scan = generate_corpus(PROFILE, seed=CORPUS_SEED, n_scans=1, scan_hz=SCAN_HZ)[0]
+    cases = [(q, c, False) for q in range(Q_MIN, Q_MAX + 1) for c in range(C_MIN, C_MAX + 1)]
+    cases += [(q, C_MAX, True) for q in (8, 16, 24)]
+    for q, c, tight in cases:
+        decoded = decode(encode(scan, CompressionConfig(q, c, tight)))
+        rebuilt = reconstruct(scan, q, tight)
+        assert np.array_equal(decoded.points, rebuilt.points), (q, c, tight)
+        assert decoded.n_valid == rebuilt.n_valid
 
 
 def sha256_file(path) -> str:

@@ -70,7 +70,6 @@ def test_tail_drop_beyond_queue_limit():
     assert led.accepted == accepted
     assert led.tail_dropped == dropped
     assert led.offered == led.accepted + led.tail_dropped + led.random_lost
-    assert led.offered_bytes == led.delivered_bytes + led.dropped_bytes
 
 
 # ---------------------------------------------------------------- marking
@@ -124,11 +123,11 @@ def test_packet_straddling_a_step_splits_service():
 
 
 def test_capacity_at_lookup():
-    cfg = LinkConfig(capacity_trace=step_trace([(0.0, 5e6), (10.0, 2e6)]))
-    assert cfg.capacity_at(0.0) == 5e6
-    assert cfg.capacity_at(9.999) == 5e6
-    assert cfg.capacity_at(10.0) == 2e6
-    assert cfg.capacity_at(1e9) == 2e6
+    lk = BottleneckLink(LinkConfig(capacity_trace=step_trace([(0.0, 5e6), (10.0, 2e6)])))
+    assert lk.capacity_at(0.0) == 5e6
+    assert lk.capacity_at(9.999) == 5e6
+    assert lk.capacity_at(10.0) == 2e6
+    assert lk.capacity_at(1e9) == 2e6
 
 
 # ------------------------------------------------------------ random loss

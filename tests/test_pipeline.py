@@ -6,12 +6,15 @@ from collections import Counter
 
 import pytest
 
-from conftest import PACE_PROBES, PROFILE, RUN_REGISTRY, SCENE_SEED, probe_pacing
+from conftest import PACE_PROBES, PROFILE, RUN_REGISTRY, SCAN_HZ, SCENE_SEED, probe_pacing
+from scanstream import codec, pipeline
 from scanstream.congestion import ControlParams
 from scanstream.metrics import read_metrics
 from scanstream.netem import LinkConfig
 from scanstream.pipeline import _FEEDBACK, METRICS_TICK_HZ, RunError, _Runner, run_scenario
 from scanstream.predictor import build_grid
+from scanstream.residual_opt import calibrate_detailed
+from scanstream.scangen import generate_corpus
 from scanstream.scenario import BaselineConfig, ScanSourceConfig, Scenario
 from scanstream.transport import DatagramReceiver, TransportParams
 
@@ -235,3 +238,17 @@ def test_feedback_at_a_pace_instant_does_not_stall_the_sender(bounds, model, mon
     # the sender's own timer keeps running past the collision
     assert sum(t > wake for t in probe.wake_instants) > 100
     assert result.summary.scans_delivered >= 8
+
+
+def test_run_and_sweep_never_decode(bounds, model, monkeypatch):
+    # both take each scan's error from its reconstruction at encode
+    def no_decode(unit):
+        raise AssertionError(f"decode called on scan {unit.scan_id}")
+
+    monkeypatch.setattr(codec, "decode", no_decode)
+    monkeypatch.setattr(pipeline, "decode", no_decode)
+    s = run_scenario(make_scenario(bounds, duration=2.0), model=model).summary
+    assert s.scans_delivered > 0 and math.isfinite(s.mean_ptp_mean) and s.conservation_ok
+    corpus = generate_corpus(PROFILE, seed=SCENE_SEED, n_scans=1, scan_hz=SCAN_HZ)
+    table, _ = calibrate_detailed(corpus, scan_hz=SCAN_HZ)
+    assert len(table.rows) == 170

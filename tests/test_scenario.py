@@ -1,14 +1,23 @@
 """Scenario YAML loading: schema enforcement, defaults, path resolution."""
 
+import dataclasses
 import math
 
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
+from scanstream.congestion import ControlParams
+from scanstream.netem import LinkConfig
+from scanstream.predictor import ConfigFloor
+from scanstream.residual_opt import RateBounds
 from scanstream.scenario import (
     MODES,
     SCENARIO_VERSION,
     BaselineConfig,
+    Scenario,
+    ScanSourceConfig,
     ScenarioError,
     load_scenario,
 )
@@ -260,3 +269,37 @@ def test_invalid_control_value_raises(tmp_path):
     doc = dict(MINIMAL, control={"srtt_alpha": 2.0})
     with pytest.raises(ValueError, match="srtt_alpha"):
         load_scenario(write_scenario(tmp_path, doc))
+
+
+NON_FINITE_CASES = (
+    [(TransportParams, f.name) for f in dataclasses.fields(TransportParams)]
+    + [(ControlParams, f.name) for f in dataclasses.fields(ControlParams)]
+    + [(LinkConfig, name) for name in ("prop_delay", "queue_limit", "ce_threshold", "loss_rate")]
+    + [(Scenario, name) for name in ("scan_hz", "duration")]
+)
+
+
+def build_params(kind, **overrides):
+    link = ((0.0, 5.0e6),)
+    if kind is LinkConfig:
+        LinkConfig(capacity_trace=link, **overrides)
+    elif kind is Scenario:
+        Scenario(
+            scan_source=ScanSourceConfig(),
+            link=LinkConfig(capacity_trace=link),
+            control=ControlParams(),
+            bounds=RateBounds(2.0e6, 8.0e6, ConfigFloor(min_q=8), epsilon=0.05),
+            **overrides,
+        ).validate()
+    else:
+        kind(**overrides).validate()
+
+
+@pytest.mark.parametrize("kind, name", NON_FINITE_CASES,
+                         ids=[f"{k.__name__}.{n}" for k, n in NON_FINITE_CASES])
+@given(value=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_non_finite_parameter_rejected(kind, name, value):
+    # NaN passes every < / <= check, and inf passes the lower bounds
+    build_params(kind)  # the defaults are valid
+    with pytest.raises(ScenarioError if kind is Scenario else ValueError):
+        build_params(kind, **{name: value})

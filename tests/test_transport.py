@@ -56,7 +56,7 @@ def test_packet_header_is_27_bytes():
 def test_fragment_count_and_sizes():
     sender = DatagramSender(TransportParams())
     unit = unit_of_size(3000)
-    sender.enqueue_unit(unit, 0.0)
+    sender.enqueue_unit(unit)
     sent = drain(sender, 50e6)
     blob_len = sender.sent_wire_bytes - len(sent) * PACKET_HEADER_BYTES
     assert len(sent) == math.ceil(blob_len / PARAMS.mtu_payload)
@@ -70,7 +70,7 @@ def test_reassembly_restores_unit():
     sender = DatagramSender(TransportParams())
     receiver = DatagramReceiver(TransportParams())
     unit = unit_of_size(2000, scan_id=42)
-    sender.enqueue_unit(unit, 0.0)
+    sender.enqueue_unit(unit)
     out = None
     for t, pkt in drain(sender, 50e6):
         got = receiver.receive_packet(pkt, t + 0.02)
@@ -88,9 +88,8 @@ def test_drop_oldest_beyond_cap():
     params = TransportParams(sender_queue_cap=3)
     sender = DatagramSender(params)
     for sid in range(5):
-        sender.enqueue_unit(unit_of_size(100, scan_id=sid), float(sid))
-    assert len(sender.drop_log) == 2
-    assert [rec.scan_id for rec in sender.drop_log] == [0, 1]
+        sender.enqueue_unit(unit_of_size(100, scan_id=sid))
+    assert sender.drop_log == [0, 1]
     assert sender.queue_depth == 3
 
 
@@ -100,8 +99,8 @@ def test_drop_oldest_beyond_cap():
 def test_pacing_never_exceeds_window_budget():
     params = TransportParams()
     sender = DatagramSender(params)
-    sender.enqueue_unit(unit_of_size(6000, scan_id=0), 0.0)
-    sender.enqueue_unit(unit_of_size(6000, scan_id=1, seed=1), 0.0)
+    sender.enqueue_unit(unit_of_size(6000, scan_id=0))
+    sender.enqueue_unit(unit_of_size(6000, scan_id=1, seed=1))
     rate = 4.0e6
     sent = drain(sender, rate)
     assert len(sent) >= 10
@@ -117,7 +116,7 @@ def test_pacing_spreads_packets():
     # token bucket of one max packet: gaps close to wire/rate, not clumps
     params = TransportParams()
     sender = DatagramSender(params)
-    sender.enqueue_unit(unit_of_size(6000), 0.0)
+    sender.enqueue_unit(unit_of_size(6000))
     rate = 4.0e6
     sent = drain(sender, rate)
     gaps = np.diff([t for t, _ in sent])
@@ -134,7 +133,7 @@ def test_sub_packet_budget_still_makes_progress():
     params = TransportParams()
     sender = DatagramSender(params)
     for sid in range(4):
-        sender.enqueue_unit(unit_of_size(2000, scan_id=sid, seed=sid), 0.0)
+        sender.enqueue_unit(unit_of_size(2000, scan_id=sid, seed=sid))
     rate = 8.0e4
     budget = params.pacing_headroom * rate * params.pacing_window / 8.0
     full_wire = PACKET_HEADER_BYTES + params.mtu_payload
@@ -154,7 +153,7 @@ def test_sender_blocked_reason_transitions():
     assert sender.pace_and_send(None, None, 1e6, 0.0) == []
     assert sender.blocked_reason == "idle"
     assert sender.next_send_opportunity(0.0) is None
-    sender.enqueue_unit(unit_of_size(4000), 0.0)
+    sender.enqueue_unit(unit_of_size(4000))
     sender.pace_and_send(None, None, 1e6, 0.0)
     assert sender.blocked_reason == "pacing"
     assert sender.next_send_opportunity(0.0) > 0.0
@@ -174,7 +173,7 @@ def test_cwnd_blocks_first_fragment_at_plain_window():
     cc = init_state(ccp, 3e6, 10e6)
     cc.w_ref = 1000.0  # below one full packet
     sender = DatagramSender(TransportParams())
-    sender.enqueue_unit(unit_of_size(4000), 0.0)
+    sender.enqueue_unit(unit_of_size(4000))
     assert sender.pace_and_send(cc, ccp, 10e6, 0.0) == []
     assert sender.blocked_reason == "cwnd"
     assert sender.next_send_opportunity(0.0) is None  # cleared by feedback, not timers
@@ -185,7 +184,7 @@ def test_cwnd_opens_to_overshoot_mid_frame():
     cc = init_state(ccp, 3e6, 10e6)
     cc.w_ref = 1300.0  # one packet fits plain, frame opens 5x
     sender = DatagramSender(TransportParams())
-    sender.enqueue_unit(unit_of_size(4000), 0.0)
+    sender.enqueue_unit(unit_of_size(4000))
     sent = drain(sender, 100e6, cc=cc, ccp=ccp, horizon=1.0)
     assert len(sent) >= 2
     # in-flight ran past the plain window but stayed under the overshoot cap
@@ -198,7 +197,7 @@ def test_reconcile_inflight_forgets_lost_bytes():
     cc = init_state(ccp, 3e6, 10e6)
     cc.w_ref = 1e6  # effectively no gate
     sender = DatagramSender(TransportParams())
-    sender.enqueue_unit(unit_of_size(4000), 0.0)
+    sender.enqueue_unit(unit_of_size(4000))
     sent = drain(sender, 100e6, cc=cc, ccp=ccp)
     total = sum(packet_wire_size(p) for _, p in sent)
     assert cc.bytes_in_flight == total
@@ -245,7 +244,7 @@ def test_inflight_ledger_under_sends_acks_and_losses(ops):
     for op, arg in ops:
         now += 0.05
         if op == "send":
-            sender.enqueue_unit(LEDGER_UNITS[arg], now)
+            sender.enqueue_unit(LEDGER_UNITS[arg])
             for _, pkt in drain(sender, 1e9, now=now, cc=cc, ccp=ccp, horizon=now + 0.01):
                 in_transit.append(pkt)
                 sent[pkt.seq] = per_seq[pkt.seq] = packet_wire_size(pkt)
@@ -276,7 +275,7 @@ def test_baseline_sender_keeps_no_inflight_ledger():
     # without a controller no feedback ever settles a seq, so a ledger
     # entry per packet would only pile up for the whole run
     sender = DatagramSender(TransportParams())
-    sender.enqueue_unit(unit_of_size(4000), 0.0)
+    sender.enqueue_unit(unit_of_size(4000))
     assert drain(sender, 100e6)
     assert not sender._inflight
 
@@ -326,7 +325,7 @@ def test_exactly_once_per_scan():
     sender = DatagramSender(TransportParams())
     receiver = DatagramReceiver(TransportParams())
     unit = unit_of_size(500, scan_id=3)
-    sender.enqueue_unit(unit, 0.0)
+    sender.enqueue_unit(unit)
     pkts = [p for _, p in drain(sender, 100e6)]
     delivered = [receiver.receive_packet(p, 0.1) for p in pkts]
     assert sum(d is not None for d in delivered) == 1
