@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -51,6 +52,8 @@ class LinkConfig:
             raise ValueError(f"queue_limit must be positive and finite, got {self.queue_limit}")
         if not (0.0 <= self.loss_rate < 1.0):
             raise ValueError(f"loss_rate must be in [0, 1), got {self.loss_rate}")
+        if not isinstance(self.rng_seed, numbers.Integral) or self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be a nonnegative integer, got {self.rng_seed!r}")
 
 
 @dataclass

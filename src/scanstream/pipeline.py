@@ -150,8 +150,7 @@ class _Runner:
 
         self._heap: list = []
         self._counter = 0
-        self._next_pace: float | None = None
-        self._pace_pending: set[float] = set()  # instants with a pace event in the heap
+        self._next_pace: float | None = None  # time of the one pending pace event
         self.now = 0.0
 
         self.pending_ptp: dict[int, float] = {}  # scan id -> mean_ptp, until delivered or lost
@@ -177,31 +176,18 @@ class _Runner:
         heapq.heappush(self._heap, (t, prio, self._counter, handler, payload))
         self._counter += 1
 
-    def _schedule_pace_wake(self) -> None:
-        """Schedule a pace event at the sender's next send opportunity.
+    def _arm_pace_timer(self) -> None:
+        """Arm the pace timer at the sender's next send time.
 
-        At most one pace event exists per instant.  A second one would be a
-        no-op (pace events at one instant pop back to back, and pacing again
-        at the same `now` changes nothing), yet it resets `_next_pace` and
-        pushes its own successor, so duplicates would breed: ~90 pace calls
-        per packet at small MTUs.  Superseded wakes at *distinct* instants
-        still fire: each refills the token bucket at that moment's rate, and
-        the output depends on it.
-
-        Trap: never skip a pace event because a feedback or scan handler
-        already paced at its instant.  That call saw `_next_pace == now`
-        and pushed nothing; only the pace event resets `_next_pace`, and
-        without it the sender stalls.
+        Each block reason has one waker: a pacing block is cleared by this
+        timer, a cwnd block by feedback, an idle sender by the next scan.
+        The sender's next send time moves only when a packet leaves, and
+        no packet leaves before it, so an armed wake is never early and
+        never superseded: at most one pace event is in the heap.
         """
-        wake = self.sender.next_send_opportunity(self.now)
-        if wake is None:
-            return
-        if self._next_pace is not None and wake >= self._next_pace - 1e-12:
-            return
-        self._next_pace = wake
-        if wake not in self._pace_pending:
-            self._pace_pending.add(wake)
-            self._push(wake, _PACE, self._on_pace)
+        if self._next_pace is None:
+            self._next_pace = self.sender.next_send_opportunity(self.now)
+            self._push(self._next_pace, _PACE, self._on_pace)
 
     # -------------------------------------------------------------- handlers
 
@@ -229,10 +215,9 @@ class _Runner:
                 delivered, at = slot
                 self._push(at, _ARRIVAL, self._on_arrival, delivered)
         if self.sender.blocked_reason == "pacing":
-            self._schedule_pace_wake()
+            self._arm_pace_timer()
 
     def _on_pace(self, _payload) -> None:
-        self._pace_pending.remove(self.now)
         self._next_pace = None
         self._pace()
 
@@ -260,7 +245,8 @@ class _Runner:
         self._enc_window.append((t, unit.payload_bits))
         self.sender.enqueue_unit(unit)
         self._consume_sender_drops()
-        self._pace()
+        if self.sender.blocked_reason == "idle":  # a blocked sender has its own waker
+            self._pace()
         if self.adaptive:
             r_cmd = min(self.cc.r_trg, self.r_ceiling)
             self._rate_err_sum += abs(unit.payload_bits * self.sc.scan_hz - r_cmd) / r_cmd
@@ -311,7 +297,8 @@ class _Runner:
             raise RunError(
                 f"r_trg {self.cc.r_trg} left [{self.cc.r_min}, {self.cc.r_max}] at t={self.now:.6f}"
             )
-        self._pace()
+        if self.sender.blocked_reason == "cwnd":
+            self._pace()
 
     def _on_fb_timer(self, _payload) -> None:
         self._emit_feedback()

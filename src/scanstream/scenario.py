@@ -183,7 +183,7 @@ def load_scenario(path) -> Scenario:
     bounds = _build_bounds(doc["rate_bounds"])
 
     tp_allowed = {
-        "mtu_payload", "sender_queue_cap", "pacing_headroom", "pacing_window",
+        "mtu_payload", "sender_queue_cap", "pacing_headroom",
         "feedback_interval", "feedback_every_packets",
     }
     try:

@@ -1,13 +1,11 @@
 """Paced datagram transport: fragmentation, sender queue, reassembly, feedback.
 
 The sender fragments serialized scan units into MTU-sized packets, admits
-each packet through the congestion window gate, and paces emission with a
-token bucket under a window budget.  The bucket refills at headroom x the
-pacing rate and holds one packet, so packets leave spread out rather than
-in clumps.  The budget caps the bytes sent in the trailing pacing window,
-which bounds the bytes inside *any* window of that length (the window
-anchored at the latest send inside an arbitrary interval contains all of
-that interval's sends).  Both gates bind in practice.
+each packet through the congestion window gate, and paces emission at
+headroom x the pacing rate, as SCReAM paces media (RFC 8298).  The pacer
+is one next-send time: a packet may leave once the clock reaches it, and
+each send moves it on by that packet's wire bytes at the rate in force, so
+packets leave spread out rather than in clumps.
 
 There is no retransmission.  Late or lost scan data is worthless to the
 consumer, so loss surfaces as missing scans plus controller backoff.
@@ -51,7 +49,6 @@ class TransportParams:
     mtu_payload: int = 1200
     sender_queue_cap: int = 20  # units; oldest dropped beyond this
     pacing_headroom: float = 1.25
-    pacing_window: float = 0.010  # seconds
     feedback_interval: float = 0.010  # seconds
     feedback_every_packets: int = 2
 
@@ -64,8 +61,8 @@ class TransportParams:
             raise ValueError(f"sender_queue_cap must be >= 1, got {self.sender_queue_cap}")
         if self.pacing_headroom < 1.0:
             raise ValueError(f"pacing_headroom must be >= 1, got {self.pacing_headroom}")
-        if self.pacing_window <= 0 or self.feedback_interval <= 0:
-            raise ValueError("pacing_window and feedback_interval must be positive")
+        if self.feedback_interval <= 0:
+            raise ValueError(f"feedback_interval must be positive, got {self.feedback_interval}")
         if self.feedback_every_packets < 1:
             raise ValueError("feedback_every_packets must be >= 1")
 
@@ -85,7 +82,7 @@ class _Frame:
 
 
 class DatagramSender:
-    """Sender half: unit queue, fragmentation, window gate, pacing limiter."""
+    """Sender half: unit queue, fragmentation, window gate, pacer."""
 
     def __init__(self, params: TransportParams):
         params.validate()
@@ -97,11 +94,7 @@ class DatagramSender:
         self.sent_wire_bytes = 0
         self.blocked_reason = "idle"
         self._frame: _Frame | None = None
-        self._window: deque[tuple[float, int]] = deque()
-        self._window_bytes = 0
-        self._tokens = 0.0
-        self._token_stamp: float | None = None
-        self._pace_wake = 0.0
+        self._next_send = 0.0  # no packet may leave before this time
         # (seq, wire bytes) of every packet sent under a controller and not
         # yet acked or known lost, in seq order: the entries behind
         # CongestionState.bytes_in_flight
@@ -123,15 +116,6 @@ class DatagramSender:
 
     # -------------------------------------------------------------- sending
 
-    def _evict_window(self, now: float) -> None:
-        horizon = now - self.params.pacing_window
-        while self._window and self._window[0][0] <= horizon:
-            self._window_bytes -= self._window[0][1]
-            self._window.popleft()
-
-    def _pacing_budget(self, pacing_rate: float) -> float:
-        return self.params.pacing_headroom * pacing_rate * self.params.pacing_window / 8.0
-
     def pace_and_send(
         self,
         cc_state: CongestionState | None,
@@ -139,30 +123,22 @@ class DatagramSender:
         pacing_rate: float,
         now: float,
     ) -> list[Packet]:
-        """Emit every packet currently allowed by the window and pacing gates.
+        """Emit every packet the window gate and the pacer allow at `now`.
 
-        Pacing is a token bucket refilled at headroom x pacing_rate with a
-        one-packet burst, so emissions spread out instead of leaving in
-        window-sized clumps; the sliding-window budget stays on as the hard
-        bound on bytes per pacing_window (with a one-packet minimum grant
-        when the window is empty). cc_state None disables the congestion
-        window gate and the in-flight ledger entirely (fixed-rate baseline
-        operation: no feedback ever settles a seq); pacing still applies.
+        A packet may leave once `now` reaches the next-send time; each send
+        moves that time on by the packet's wire bytes at headroom x
+        pacing_rate, counted from the send or from the old next-send time,
+        whichever is later.  An idle sender thus earns no burst credit, and
+        each gap is set by the rate in force when its packet left.
+        cc_state None disables the congestion window gate and the in-flight
+        ledger entirely (fixed-rate baseline operation: no feedback ever
+        settles a seq); pacing still applies.
         """
         if pacing_rate <= 0:
             raise ValueError(f"pacing_rate must be positive, got {pacing_rate}")
         out: list[Packet] = []
-        self._evict_window(now)
-        budget = self._pacing_budget(pacing_rate)
         mtu = self.params.mtu_payload
         rate_bytes = self.params.pacing_headroom * pacing_rate / 8.0
-        bucket = float(PACKET_HEADER_BYTES + mtu)
-        if self._token_stamp is None:
-            self._tokens = bucket
-        else:
-            self._tokens = min(bucket, self._tokens + (now - self._token_stamp) * rate_bytes)
-        self._token_stamp = now
-
         while True:
             if self._frame is None:
                 if not self.queue:
@@ -179,16 +155,8 @@ class DatagramSender:
             if cc_state is not None and not can_send(cc_state, cc_params, wire, frame.sent_bytes):
                 self.blocked_reason = "cwnd"
                 break
-            # empty window always grants one packet: at very low rates the
-            # budget can be smaller than a single MTU and would stall forever
-            if self._window and self._window_bytes + wire > budget:
+            if now < self._next_send:
                 self.blocked_reason = "pacing"
-                # +1 ns guards against float roundoff leaving the entry un-evicted
-                self._pace_wake = self._window[0][0] + self.params.pacing_window + 1e-9
-                break
-            if wire > self._tokens:
-                self.blocked_reason = "pacing"
-                self._pace_wake = now + (wire - self._tokens) / rate_bytes + 1e-9
                 break
             pkt = Packet(
                 seq=self.next_seq,
@@ -203,9 +171,7 @@ class DatagramSender:
             self.next_seq += 1
             self.sent_packets += 1
             self.sent_wire_bytes += wire
-            self._window.append((now, wire))
-            self._window_bytes += wire
-            self._tokens -= wire
+            self._next_send = max(self._next_send, now) + wire / rate_bytes
             if cc_state is not None:
                 self._inflight.append((pkt.seq, wire))
                 cc_state.bytes_in_flight += wire
@@ -216,14 +182,14 @@ class DatagramSender:
         return out
 
     def next_send_opportunity(self, now: float) -> float | None:
-        """Earliest time pacing frees room for another packet.
+        """Earliest time the pacer lets another packet leave.
 
         Only meaningful after a pace_and_send call blocked on pacing; cwnd
-        and queue blocks clear on feedback/enqueue events instead of timers.
+        and idle blocks clear on feedback and enqueue instead of a timer.
         """
         if self.blocked_reason != "pacing":
             return None
-        return max(self._pace_wake, now)
+        return max(self._next_send, now)
 
     def reconcile_inflight(self, cc_state: CongestionState, highest_acked_seq: int) -> None:
         """Settle every seq a feedback report covers out of bytes_in_flight.
@@ -261,19 +227,19 @@ class DatagramReceiver:
         self.cumulative_lost_packets = 0
         self.duplicate_packets = 0
         self.malformed_units = 0
-        self.delivered_scans = 0
         self.newest_send_time = 0.0
         self.newest_arrival_time = 0.0
         self.packets_since_report = 0
         self.last_report_time = 0.0
         self._partial: dict[int, _PartialScan] = {}
-        self._delivered: set[int] = set()
 
     def receive_packet(self, pkt: Packet, now: float) -> EncodedUnit | None:
         """Account one arrival; returns the reassembled unit when complete.
 
         The forward path is a FIFO link, so packets arrive in seq order and
-        any gap is loss; an already-seen seq can only be a duplicate.
+        any gap is loss; an already-seen seq can only be a duplicate.  The
+        sender fragments each unit once, so rejecting seen seqs also keeps
+        a completed scan from being delivered again.
         """
         if pkt.seq <= self.highest_seq:
             self.duplicate_packets += 1
@@ -288,9 +254,6 @@ class DatagramReceiver:
         self.newest_arrival_time = now
         self.packets_since_report += 1
 
-        if pkt.scan_id in self._delivered:
-            self.duplicate_packets += 1
-            return None
         part = self._partial.get(pkt.scan_id)
         if part is None:
             part = self._partial[pkt.scan_id] = _PartialScan(pkt.frag_count)
@@ -303,13 +266,11 @@ class DatagramReceiver:
 
         blob = b"".join(part.fragments[i] for i in range(part.frag_count))
         del self._partial[pkt.scan_id]
-        self._delivered.add(pkt.scan_id)
         try:
             unit = unpack_unit(blob)
         except DecodeError:
             self.malformed_units += 1
             return None
-        self.delivered_scans += 1
         return unit
 
     def expire_partials_below(self, scan_id: int) -> list[int]:

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, settings
 
 from scanstream.congestion import ControlParams
 from scanstream.netem import LinkConfig, random_walk_trace
-from scanstream.pipeline import _Runner, run_scenario
+from scanstream.pipeline import _PACE, _Runner, run_scenario
 from scanstream.predictor import fit, save_model
 from scanstream.residual_opt import calibrate_detailed, min_rate, write_table
 from scanstream.scangen import SensorProfile, generate_corpus
@@ -105,6 +105,8 @@ def probe_pacing():
 
     def recorded_on_pace(self, *args):
         probe.wake_instants.append(self.now)
+        # one pace timer: the event firing now was the only one pending
+        assert not any(entry[1] == _PACE for entry in self._heap), f"two pace events at {self.now}"
         return on_pace(self, *args)
 
     with pytest.MonkeyPatch.context() as mp:

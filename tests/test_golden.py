@@ -2,17 +2,17 @@
 the suite's fitted model, the step run's metrics CSV in adaptive and
 baseline mode, and the tiny-MTU run's metrics CSV.
 
-The payload, model and step digests were recorded before the encoder was
-split into a geometry and a packing stage; the model and step digests are
-also the ones perfbench/data/fixture.json records.  The tiny-MTU digest was
-recorded before the event loop stopped pushing duplicate pace wakes; it is
+The payload and model digests were recorded before the encoder was split
+into a geometry and a packing stage; the model digest is also the one
+perfbench/data/fixture.json records.  The decoded-points digest was
+recorded while Morton codes were still three 24-bit limbs, before they
+became 64-bit words.  The three run digests (step adaptive, step baseline,
+tiny-MTU) were recorded when the sender's pacer became one next-send time
+in place of a token bucket under a window budget.  The tiny-MTU digest is
 the only lock on the loss path (tail drops, loss cuts, expired partial
 scans, lost sequence numbers leaving the in-flight ledger), which the step
-run never enters.  The decoded-points digest was recorded while Morton
-codes were still three 24-bit limbs, before they became 64-bit words.  The
-baseline digest was recorded before the sender stopped keeping an in-flight
-ledger without a controller; it is the only lock on the fixed-rate path.  A
-change that moves any of them changes behaviour, and must say so.
+run never enters; the baseline digest is the only lock on the fixed-rate
+path.  A change that moves any of them changes behaviour, and must say so.
 """
 from __future__ import annotations
 
@@ -38,10 +38,10 @@ from scanstream.scangen import generate_corpus
 
 PAYLOAD_SHA256 = "e1e25a2cb87a55e1134713061c90beeaafce0edd11785c6c1b2c87e7fdb3ed07"
 MODEL_SHA256 = "225fa8fe5fd688c74b60aea4d45946ac14b2868fa769af0c63bfbbe97ee9c247"
-STEP_METRICS_SHA256 = "7bc52fa60c8e2d74337b3b5440fc252350979c3d49fc0f1fe87ea8a4689ba67e"
+STEP_METRICS_SHA256 = "87a217795c06bc0eeb28de14b8c25ec72aefba424e43fb77f6598fb1650528dc"
 DECODED_SHA256 = "bc9766f93e4e1d9551ce008522b3bc91c45a8574961bfed4844e79262d325402"
-TINY_MTU_METRICS_SHA256 = "ccd9bcf4b81514752810aa340436e0360e445efd0ee6ca42bfe60656f9102a82"
-BASELINE_METRICS_SHA256 = "a18863d6f6635b7874a9def72ecdf4c7ad2fbaf39754d2af6f8bd2cd610f0ff0"
+TINY_MTU_METRICS_SHA256 = "58dc37290f5959e9443519f048505c0f1cadf25408076a8819f22feef79e4402"
+BASELINE_METRICS_SHA256 = "befc3f9c8b38540fc4231d94c22cd3231467be6896e611300de9a99da803610b"
 
 
 def payload_digest(units) -> str:

@@ -153,6 +153,7 @@ def test_unknown_top_level_key_raises(tmp_path):
         ("link", "bandwidth"),
         ("control", "alpha"),
         ("transport", "mtu"),
+        ("transport", "pacing_window"),
         ("rate_bounds", "rmin"),
         ("scan_source", "profile_name"),
         ("baseline", "rate"),
@@ -265,6 +266,13 @@ def test_bad_velocity_raises(tmp_path):
         load_scenario(write_scenario(tmp_path, doc))
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, math.nan])
+def test_bad_rng_seed_raises_at_load(tmp_path, seed):
+    doc = dict(MINIMAL, link=dict(MINIMAL["link"], rng_seed=seed))
+    with pytest.raises(ScenarioError, match="rng_seed"):
+        load_scenario(write_scenario(tmp_path, doc))
+
+
 def test_invalid_control_value_raises(tmp_path):
     doc = dict(MINIMAL, control={"srtt_alpha": 2.0})
     with pytest.raises(ValueError, match="srtt_alpha"):
@@ -274,7 +282,8 @@ def test_invalid_control_value_raises(tmp_path):
 NON_FINITE_CASES = (
     [(TransportParams, f.name) for f in dataclasses.fields(TransportParams)]
     + [(ControlParams, f.name) for f in dataclasses.fields(ControlParams)]
-    + [(LinkConfig, name) for name in ("prop_delay", "queue_limit", "ce_threshold", "loss_rate")]
+    + [(LinkConfig, name)
+       for name in ("prop_delay", "queue_limit", "ce_threshold", "loss_rate", "rng_seed")]
     + [(Scenario, name) for name in ("scan_hz", "duration")]
 )
 
