@@ -11,12 +11,18 @@ smallest encoding wins, so payload size is nonincreasing in c.
 Encoding runs in two stages, as Draco quantizes and orders before it
 entropy codes.  The geometry stage depends only on (scan, q): bounding
 box, quantization, Morton codes, sort, deltas and their widths, the
-permutation stream and the delta bit matrix.  The packing stage runs per
-c: it picks the delta stream plan and writes the delta stream and the
-payload header.  `encode_efforts` runs the geometry once for many c;
-`encode` is its one-c case.  Since c only changes how the deltas are
-packed, every c at one q decodes to the same points: the cell centers
-that `reconstruct` computes without encoding.
+permutation stream and the delta bit matrix.  The packing stage picks the
+delta stream plan for c and writes the delta stream and the payload
+header.  Since c only changes how the deltas are packed, every c at one q
+decodes to the same points: the cell centers that `reconstruct` computes
+without encoding.
+
+The calibration sweep needs only payload sizes and those cell centers, so
+`sweep` packs nothing and stages by scan, not by q.  It quantizes, Morton
+codes and sorts a scan once, at Q_MAX.  Shifting a cell index at Q_MAX
+right by Q_MAX - q gives the cell index at q, so shifting the sorted codes
+right by 3 (Q_MAX - q) gives each q's sorted codes, and from their deltas
+the plans give each c's exact payload size.
 
 Cell indices travel as a (3, n) stack, one row per axis, and Morton codes
 as uint64 words (see bitpack): one word for q <= 21, whose codes have at
@@ -34,6 +40,7 @@ Payload layout (after the unit wire header, little endian):
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,7 +190,7 @@ def _dequantize(cells: np.ndarray, bbox: np.ndarray, q: int) -> np.ndarray:
     return np.ascontiguousarray(t.T)
 
 
-_Plan = tuple[int, int, int, "np.ndarray | None"]
+_Plan = tuple[int, int, int, "np.ndarray | None", int]
 
 
 def _delta_stream_plans(widths: np.ndarray, cs: list[int]) -> list[_Plan]:
@@ -191,13 +198,14 @@ def _delta_stream_plans(widths: np.ndarray, cs: list[int]) -> list[_Plan]:
 
     Effort c admits the global width plus the first min(c, 6) block sizes.
     Each candidate is sized once; returns one (delta_mode, global_width,
-    block_log2, block_widths) per c.  Sizes are exact encoded byte counts,
-    ties go to the earlier (simpler) candidate.
+    block_log2, block_widths, nbytes) per c, where nbytes is the exact size
+    of the block width table plus the delta stream.  Ties go to the earlier
+    (simpler) candidate.
     """
     m = len(widths)
     global_w = int(widths.max(initial=0))
-    best_bytes = (m * global_w + 7) // 8
-    best = (0, global_w, 0, None)
+    nbytes = (m * global_w + 7) // 8
+    best = (0, global_w, 0, None, nbytes)
     winners = [best]  # winners[k]: best plan among the first k block sizes
     for block in _BLOCK_SIZES[: min(max(cs, default=0), len(_BLOCK_SIZES))]:
         if m == 0:
@@ -206,9 +214,8 @@ def _delta_stream_plans(widths: np.ndarray, cs: list[int]) -> list[_Plan]:
         bw = np.maximum.reduceat(widths, starts)
         lens = np.diff(np.append(starts, m))
         nbytes = (int(np.sum(lens * bw)) + 7) // 8 + len(bw)
-        if nbytes < best_bytes:
-            best_bytes = nbytes
-            best = (1, 0, int(block).bit_length() - 1, bw)
+        if nbytes < best[4]:
+            best = (1, 0, int(block).bit_length() - 1, bw, nbytes)
         winners.append(best)
     return [winners[min(c, len(winners) - 1)] for c in cs]
 
@@ -228,11 +235,15 @@ class _Geometry:
     bits: np.ndarray  # delta bit matrix, one row per delta (see bitpack.to_bit_matrix)
 
 
+def _check_scan_size(scan: PointCloudScan) -> None:
+    if scan.n_points > MAX_POINTS:
+        raise ConfigError(f"scan has {scan.n_points} points, codec limit is {MAX_POINTS}")
+
+
 def _geometry(scan: PointCloudScan, q: int, tight_bbox: bool) -> _Geometry:
     """Quantize, Morton code and sort a scan; build the perm stream and delta bits."""
+    _check_scan_size(scan)
     n = scan.n_points
-    if n > MAX_POINTS:
-        raise ConfigError(f"scan has {n} points, codec limit is {MAX_POINTS}")
     bbox = _coding_bbox(scan, tight_bbox)
     hi, lo = bitpack.morton_encode(_quantize(scan.points, bbox, q), q)
     order = bitpack.sort_order(hi, lo)
@@ -258,7 +269,7 @@ def _geometry(scan: PointCloudScan, q: int, tight_bbox: bool) -> _Geometry:
 
 def _pack(geom: _Geometry, plan: _Plan) -> bytes:
     """Packing stage: the payload for one delta stream plan."""
-    delta_mode, global_w, block_log2, block_widths = plan
+    delta_mode, global_w, block_log2, block_widths, nbytes = plan
     bits = geom.bits
     if delta_mode == 0:
         width_bytes = b""
@@ -280,36 +291,70 @@ def _pack(geom: _Geometry, plan: _Plan) -> bytes:
     meta = _PAYLOAD_META.pack(
         geom.n, geom.n_valid, geom.first, geom.perm_mode, delta_mode, global_w, block_log2
     )
-    return meta + geom.perm_bytes + width_bytes + delta_bytes
-
-
-def encode_efforts(
-    scan: PointCloudScan, q: int, cs: list[int], tight_bbox: bool = False
-) -> list[EncodedUnit]:
-    """Compress a scan at quantization q once per packing effort in cs.
-
-    The geometry stage runs once; each effort only replans and repacks the
-    delta stream, and efforts that choose the same plan share its payload.
-    Unit k equals encode(scan, CompressionConfig(q, cs[k], tight_bbox)).
-    """
-    for c in cs:
-        CompressionConfig(q, c, tight_bbox).validate()
-    geom = _geometry(scan, q, tight_bbox)
-    units = []
-    payloads: dict[tuple[int, int, int], bytes] = {}
-    for c, plan in zip(cs, _delta_stream_plans(geom.widths, cs)):
-        key = plan[:3]
-        if key not in payloads:
-            payloads[key] = _pack(geom, plan)
-        units.append(
-            EncodedUnit(scan_id=geom.scan_id, q=q, c=c, bbox=geom.bbox, payload=payloads[key])
+    payload = meta + geom.perm_bytes + width_bytes + delta_bytes
+    # `sweep` sizes payloads from the plan alone; the two must never drift apart
+    if len(payload) != len(meta) + len(geom.perm_bytes) + nbytes:
+        raise RuntimeError(
+            f"packed {len(payload)} payload bytes, the plan sized "
+            f"{len(meta) + len(geom.perm_bytes) + nbytes}"
         )
-    return units
+    return payload
 
 
 def encode(scan: PointCloudScan, config: CompressionConfig) -> EncodedUnit:
     """Compress a scan; raises OutOfRangeError for points outside the bbox."""
-    return encode_efforts(scan, config.q, [config.c], config.tight_bbox)[0]
+    config.validate()
+    geom = _geometry(scan, config.q, config.tight_bbox)
+    (plan,) = _delta_stream_plans(geom.widths, [config.c])
+    return EncodedUnit(
+        scan_id=geom.scan_id, q=config.q, c=config.c, bbox=geom.bbox, payload=_pack(geom, plan)
+    )
+
+
+def sweep(
+    scan: PointCloudScan, qs: list[int], cs: list[int], tight_bbox: bool = False
+) -> Iterator[tuple[int, list[int], PointCloudScan]]:
+    """Payload sizes and reconstruction of a scan at every (q, c), packing nothing.
+
+    Yields (q, sizes, rebuilt) for each q in qs, one q at a time: sizes[k]
+    is len(encode(scan, CompressionConfig(q, cs[k], tight_bbox)).payload)
+    and rebuilt is reconstruct(scan, q, tight_bbox).  Rejects a bad q or c,
+    an oversized scan and out-of-box points as encode does, once iterated.
+
+    The scan is quantized, Morton coded and sorted once, at Q_MAX.  t * 2**q
+    is a power-of-two scaling of t * 2**Q_MAX, so the floor and the clamp at
+    t = 1 both commute with the right shift by Q_MAX - q: the cells at q are
+    the shifted cells at Q_MAX, and the codes at q the sorted Q_MAX codes
+    shifted by 3 (Q_MAX - q), still sorted.  Their deltas, widths and plans
+    are then the encoder's; only the tie order inside the perm stream can
+    differ, and its length does not.
+    """
+    for q in qs:
+        for c in cs:
+            CompressionConfig(q, c, tight_bbox).validate()
+    _check_scan_size(scan)
+    n = scan.n_points
+    bbox = _coding_bbox(scan, tight_bbox)
+    cells = _quantize(scan.points, bbox, Q_MAX)
+    hi, lo = bitpack.morton_encode(cells, Q_MAX)
+    # The encoder stores no perm stream when the codes at q never fall in
+    # capture order.  A shift keeps every rise, and turns a fall into a tie
+    # once it drops the highest bit where the two codes differ.
+    a_hi, a_lo, b_hi, b_lo = hi[:-1], lo[:-1], hi[1:], lo[1:]
+    fall = (b_hi < a_hi) | ((b_hi == a_hi) & (b_lo < a_lo))
+    fall_bits = bitpack.code_bit_length(a_hi[fall] ^ b_hi[fall], a_lo[fall] ^ b_lo[fall])
+    sorted_from = int(fall_bits.max(initial=0))  # shifts of this many bits leave no fall
+    perm_bytes = (n * int(n - 1).bit_length() + 7) // 8
+    order = bitpack.sort_order(hi, lo)
+    hi, lo = hi[order], lo[order]
+    for q in qs:
+        shift = Q_MAX - q
+        dhi, dlo = bitpack.deltas(*bitpack.shift_codes(hi, lo, q))
+        plans = _delta_stream_plans(bitpack.code_bit_length(dhi, dlo), cs)
+        perm = 0 if 3 * shift >= sorted_from else perm_bytes
+        points = _dequantize(cells >> np.uint64(shift), bbox, q)
+        rebuilt = PointCloudScan(points=points, scan_id=scan.scan_id, n_valid=scan.n_valid)
+        yield q, [_PAYLOAD_META.size + perm + plan[4] for plan in plans], rebuilt
 
 
 def decode(unit: EncodedUnit) -> PointCloudScan:

@@ -90,22 +90,20 @@ def _corpus_fingerprint(corpus: list[PointCloudScan]) -> str:
     return f"{len(corpus)}x{corpus[0].n_points}-{h.hexdigest()[:12]}"
 
 
-def _sweep_column(args):
-    """Stats per scan for every c at one q, from one encode per scan and no decode.
+def _sweep_scan(args) -> np.ndarray:
+    """One scan's (mean_ptp, max_ptp, l2_norm, bps) at each q of qs (rows) and c of cs.
 
-    Each c only repacks the same geometry, so every c decodes to the same
-    points, the scan's reconstruction at q: its residual stands for the
-    column, while each rate is that c's real payload size.
+    Every c at one q decodes to the scan's reconstruction at q, so its
+    residual stands for the whole row, while each rate is that c's real
+    payload size.  One reconstruction is alive at a time.
     """
-    corpus, q, c_values, scan_hz, tight_bbox = args
-    stats = {c: [] for c in c_values}
-    for scan in corpus:
-        units = codec.encode_efforts(scan, q, c_values, tight_bbox)
-        res = codec.residual(scan, codec.reconstruct(scan, q, tight_bbox))
-        for unit in units:
-            bps = unit.payload_bits * scan_hz
-            stats[unit.c].append((res.mean_ptp, res.max_ptp, res.l2_norm, bps))
-    return [(q, c, stats[c]) for c in c_values]
+    scan, qs, cs, scan_hz, tight_bbox = args
+    stats = np.empty((len(qs), len(cs), 4))
+    for row, (_, sizes, rebuilt) in zip(stats, codec.sweep(scan, qs, cs, tight_bbox)):
+        res = codec.residual(scan, rebuilt)
+        row[:, :3] = res.mean_ptp, res.max_ptp, res.l2_norm
+        row[:, 3] = [8 * nbytes * scan_hz for nbytes in sizes]
+    return stats
 
 
 def calibrate_detailed(
@@ -116,13 +114,15 @@ def calibrate_detailed(
     tight_bbox: bool = False,
     n_jobs: int = 1,
 ) -> tuple[ResidualTable, list[RateSample]]:
-    """Grid encode/residual sweep over a corpus.
+    """Grid rate/residual sweep over a corpus.
 
     `grid` names the (q, c) entries to sweep; None means the full Q x C
     product (predictions attached to the grid are ignored, only its entries
     matter here).  Returns the aggregated table plus one RateSample per
-    (scan, q, c) for model fitting.  Entries are independent, so the sweep
-    may fan out across processes; results merge deterministically by (q, c).
+    (scan, q, c) for model fitting.  Each scan is swept by `codec.sweep`,
+    which sorts it once and takes every entry's rate from its payload size
+    without packing; scans are independent, so the sweep may fan out one
+    scan per task across processes, and results merge in corpus order.
     """
     if not corpus:
         raise CalibrationError("calibration corpus is empty")
@@ -140,39 +140,41 @@ def calibrate_detailed(
             )
         pairs = sorted({(int(q), int(c)) for q, c in zip(grid.qs, grid.cs)})
 
-    by_q: dict[int, list[int]] = {}
-    for q, c in pairs:
-        by_q.setdefault(q, []).append(c)
-
-    results = {}
+    # a sparse grid still sweeps every c at each of its q: a plan is nearly
+    # free once the deltas exist, and pairs outside the grid are dropped
+    qs = sorted({q for q, _ in pairs})
+    cs = sorted({c for _, c in pairs})
+    tasks = [(scan, qs, cs, scan_hz, tight_bbox) for scan in corpus]
     if n_jobs > 1:
-        tasks = [(corpus, q, cs, scan_hz, tight_bbox) for q, cs in by_q.items()]
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            for column in pool.map(_sweep_column, tasks):
-                for q, c, stats in column:
-                    results[q, c] = stats
+            per_scan = list(pool.map(_sweep_scan, tasks))
     else:
-        for q, cs in by_q.items():
-            for _, c, stats in _sweep_column((corpus, q, cs, scan_hz, tight_bbox)):
-                results[q, c] = stats
+        per_scan = [_sweep_scan(task) for task in tasks]
 
-    rows = []
-    samples = []
-    for q, c in pairs:
-        stats = np.array(results[q, c])
-        agg = stats.mean(axis=0) if aggregate == "mean" else stats.max(axis=0)
-        rows.append(
-            TableRow(
-                q=q,
-                c=c,
-                mean_ptp=float(agg[0]),
-                max_ptp=float(agg[1]),
-                l2_norm=float(agg[2]),
-                measured_bps=float(stats[:, 3].mean()),
-            )
+    # (pair, scan, stat), scans in corpus order: each pair's block is the
+    # (scan, stat) array a per-pair loop would build, so every mean below
+    # adds the same numbers in the same order as that loop's would
+    stats = np.stack(per_scan, axis=2)[
+        [qs.index(q) for q, _ in pairs], [cs.index(c) for _, c in pairs]
+    ]
+    agg = stats.mean(axis=1) if aggregate == "mean" else stats.max(axis=1)
+    rates = stats[:, :, 3]
+    rows = [
+        TableRow(
+            q=q,
+            c=c,
+            mean_ptp=float(a[0]),
+            max_ptp=float(a[1]),
+            l2_norm=float(a[2]),
+            measured_bps=float(m),
         )
-        for bps in stats[:, 3]:
-            samples.append(RateSample(q=q, c=c, n_points=n_points, measured_bps=float(bps)))
+        for (q, c), a, m in zip(pairs, agg, rates.mean(axis=1))
+    ]
+    samples = [
+        RateSample(q=q, c=c, n_points=n_points, measured_bps=float(bps))
+        for (q, c), r in zip(pairs, rates)
+        for bps in r
+    ]
     table = ResidualTable(
         rows=rows, scan_hz=scan_hz, aggregate=aggregate, corpus_id=_corpus_fingerprint(corpus)
     )

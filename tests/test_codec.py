@@ -6,11 +6,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from scanstream import bitpack, codec
 from scanstream.codec import (
+    C_MAX,
+    C_MIN,
     DEFAULT_BBOX,
+    Q_MAX,
+    Q_MIN,
     CardinalityError,
     CompressionConfig,
     ConfigError,
@@ -19,9 +24,10 @@ from scanstream.codec import (
     PointCloudScan,
     decode,
     encode,
-    encode_efforts,
     pack_unit,
+    reconstruct,
     residual,
+    sweep,
     unpack_unit,
 )
 
@@ -100,34 +106,84 @@ def test_encode_leaves_the_scan_unchanged(n):
             assert residual(scan, out).max_ptp < 1e-2
 
 
-def test_encode_efforts_matches_encode_per_config():
-    scan = make_scan(1500, 17, scan_id=4)
-    for q in (8, 13, 21, 22, 24):
-        for tight in (False, True):
-            cs = [9, 0, 3, 6, 7]
-            units = encode_efforts(scan, q, cs, tight)
-            assert [u.c for u in units] == cs
-            for unit in units:
-                ref = encode(scan, CompressionConfig(q, unit.c, tight_bbox=tight))
-                assert (unit.scan_id, unit.q) == (ref.scan_id, ref.q)
-                assert np.array_equal(unit.bbox, ref.bbox)
-                assert unit.payload == ref.payload
-
-
-def test_encode_efforts_rejects_bad_effort():
-    with pytest.raises(ConfigError):
-        encode_efforts(make_scan(16, 1), 12, [0, 10])
-
-
 def test_decode_independent_of_effort():
     # c only changes how the deltas are packed, so the calibration sweep may
-    # decode one unit per (scan, q) and share its residual across every c
+    # take one reconstruction per (scan, q) as every c's decoded points
     scan = make_scan(2048, 23)
     for q in range(8, 25):
-        first, *rest = [decode(u) for u in encode_efforts(scan, q, list(range(10)))]
+        first, *rest = [decode(encode(scan, CompressionConfig(q, c))) for c in range(10)]
         for out in rest:
             assert out.n_valid == first.n_valid
             assert np.array_equal(out.points, first.points)
+
+
+# ------------------------------------------------------------------- sweep
+
+
+def sweep_points(n, seed, layout):
+    """n points of one layout, inside the default box unless stated."""
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-40.0, 40.0, size=(n, 3))
+    if layout == "duplicates":  # at most three distinct points, repeated
+        points = points[rng.integers(0, 3, size=n) % n]
+    elif layout == "cluster":  # ties at coarse q, a perm stream at fine q
+        points = rng.uniform(3.0, 3.01, size=(n, 3))
+    elif layout == "presorted":  # in Morton order at Q_MAX, so at every q
+        bbox = codec._coding_bbox(PointCloudScan(points), False)
+        hi, lo = bitpack.morton_encode(codec._quantize(points, bbox, Q_MAX), Q_MAX)
+        points = points[bitpack.sort_order(hi, lo)]
+    elif layout == "faces":  # t == 1 on the default box's max face clamps
+        face = rng.random(size=(n, 3)) < 0.3
+        points[face] = rng.choice([-50.0, 50.0], size=int(face.sum()))
+    return points
+
+
+@given(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 1000),
+    layout=st.sampled_from(["spread", "duplicates", "cluster", "presorted", "faces"]),
+    padded=st.booleans(),
+    tight=st.booleans(),
+)
+@example(n=1, seed=0, layout="spread", padded=False, tight=False)
+@example(n=1, seed=0, layout="faces", padded=False, tight=True)
+@example(n=30, seed=1, layout="duplicates", padded=False, tight=True)
+@example(n=30, seed=2, layout="presorted", padded=False, tight=False)
+@example(n=30, seed=3, layout="cluster", padded=False, tight=False)
+@example(n=30, seed=4, layout="faces", padded=False, tight=False)
+@example(n=30, seed=5, layout="spread", padded=True, tight=True)
+def test_sweep_equals_encode_and_reconstruct(n, seed, layout, padded, tight):
+    points = sweep_points(n, seed, layout)
+    n_valid = max(1, n // 2) if padded else n
+    points[n_valid:] = points[n_valid - 1]  # padding repeats the last real return
+    scan = PointCloudScan(points, scan_id=seed, n_valid=n_valid)
+    bbox = codec._coding_bbox(scan, tight)
+    top = codec._quantize(scan.points, bbox, Q_MAX)
+    qs = list(range(Q_MIN, Q_MAX + 1))
+    cs = list(range(C_MIN, C_MAX + 1))
+    swept = list(sweep(scan, qs, cs, tight))
+    assert [q for q, _, _ in swept] == qs
+    for q, sizes, rebuilt in swept:
+        assert np.array_equal(codec._quantize(scan.points, bbox, q), top >> np.uint64(Q_MAX - q))
+        assert sizes == [len(encode(scan, CompressionConfig(q, c, tight)).payload) for c in cs]
+        ref = reconstruct(scan, q, tight)
+        assert np.array_equal(rebuilt.points, ref.points)
+        assert (rebuilt.n_valid, rebuilt.scan_id) == (n_valid, seed)
+
+
+def test_sweep_rejects_what_encode_rejects(monkeypatch):
+    scan = make_scan(16, 1)
+    for q, c in [(7, 0), (25, 0), (12, -1), (12, 10)]:
+        with pytest.raises(ConfigError):
+            list(sweep(scan, [12, q], [0, c]))
+    outside = PointCloudScan(np.array([[0.0, 0.0, 0.0], [60.0, 0.0, 0.0]]))
+    with pytest.raises(OutOfRangeError):
+        list(sweep(outside, [10], [0]))
+    monkeypatch.setattr(codec, "MAX_POINTS", 15)
+    with pytest.raises(ConfigError):
+        encode(scan, CompressionConfig(12, 0))
+    with pytest.raises(ConfigError):
+        list(sweep(scan, [12], [0]))
 
 
 def test_payload_nondecreasing_in_q():

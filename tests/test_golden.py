@@ -29,8 +29,8 @@ from scanstream.codec import (
     CompressionConfig,
     decode,
     encode,
-    encode_efforts,
     reconstruct,
+    sweep,
 )
 from scanstream.metrics import write_metrics
 from scanstream.predictor import save_model
@@ -58,9 +58,7 @@ def test_payloads_of_every_config():
     per_config = [
         encode(scan, CompressionConfig(q, c)) for q in range(Q_MIN, Q_MAX + 1) for c in efforts
     ]
-    staged = [u for q in range(Q_MIN, Q_MAX + 1) for u in encode_efforts(scan, q, efforts)]
     assert payload_digest(per_config) == PAYLOAD_SHA256
-    assert payload_digest(staged) == PAYLOAD_SHA256
 
 
 def test_decoded_points_of_every_config():
@@ -84,6 +82,22 @@ def test_decode_equals_reconstruction():
         rebuilt = reconstruct(scan, q, tight)
         assert np.array_equal(decoded.points, rebuilt.points), (q, c, tight)
         assert decoded.n_valid == rebuilt.n_valid
+
+
+def test_sweep_equals_encode_and_reconstruct():
+    # the calibration table's rates and errors, config for config
+    scan = generate_corpus(PROFILE, seed=CORPUS_SEED, n_scans=1, scan_hz=SCAN_HZ)[0]
+    qs = list(range(Q_MIN, Q_MAX + 1))
+    cs = list(range(C_MIN, C_MAX + 1))
+    for tight in (False, True):
+        swept = list(sweep(scan, qs, cs, tight))
+        assert [q for q, _, _ in swept] == qs
+        for q, sizes, rebuilt in swept:
+            sizes_at_q = [len(encode(scan, CompressionConfig(q, c, tight)).payload) for c in cs]
+            assert sizes == sizes_at_q, (q, tight)
+            ref = reconstruct(scan, q, tight)
+            assert np.array_equal(rebuilt.points, ref.points), (q, tight)
+            assert (rebuilt.n_valid, rebuilt.scan_id) == (ref.n_valid, ref.scan_id)
 
 
 def sha256_file(path) -> str:

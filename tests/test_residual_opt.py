@@ -1,8 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from scanstream.predictor import fit
+from scanstream import bitpack, codec
+from scanstream.codec import C_MAX, C_MIN, Q_MAX, Q_MIN
+from scanstream.predictor import ConfigGrid, fit
 from scanstream.residual_opt import (
+    AGGREGATES,
     METRICS,
     CalibrationError,
     InfeasibleError,
@@ -76,6 +81,66 @@ def test_parallel_calibration_matches_serial():
     assert parallel[0].rows == serial[0].rows
     assert parallel[1] == serial[1]
     assert parallel[0].corpus_id == serial[0].corpus_id
+
+
+def test_table_aggregates_as_a_per_pair_loop():
+    # The reference builds each pair's (scan, stat) array and reduces it.
+    # From 8 scans up numpy may sum a strided column, a contiguous row and
+    # an axis-0 reduction in different orders; at 9.7 Hz no rate is an
+    # integer, so a different order shows in the last bits.
+    corpus = generate_corpus(SMALL, seed=9, n_scans=9)
+    for aggregate in AGGREGATES:
+        table, samples = calibrate_detailed(corpus, scan_hz=9.7, aggregate=aggregate)
+        for q in range(Q_MIN, Q_MAX + 1):
+            res = [codec.residual(s, codec.reconstruct(s, q)) for s in corpus]
+            for c in range(C_MIN, C_MAX + 1):
+                rates = [x.measured_bps for x in samples if (x.q, x.c) == (q, c)]
+                stats = np.array(
+                    [(r.mean_ptp, r.max_ptp, r.l2_norm, bps) for r, bps in zip(res, rates)]
+                )
+                agg = stats.mean(axis=0) if aggregate == "mean" else stats.max(axis=0)
+                row = table.row(q, c)
+                assert (row.mean_ptp, row.max_ptp, row.l2_norm) == tuple(agg[:3])
+                assert row.measured_bps == stats[:, 3].mean()
+
+
+def test_sparse_grid_sweeps_only_its_pairs():
+    corpus = generate_corpus(SMALL, seed=5, n_scans=3)
+    full_table, full_samples = calibrate_detailed(corpus, scan_hz=10.0)
+    pairs = [(9, 0), (9, 9), (17, 4), (24, 9)]
+    qs, cs = zip(*pairs)
+    grid = ConfigGrid(  # a grid names 170 entries; repeats leave four pairs
+        n_points=SMALL.n_points,
+        qs=np.resize(qs, 170),
+        cs=np.resize(cs, 170),
+        predicted_bps=np.ones(170),
+    )
+    for n_jobs in (1, 2):
+        table, samples = calibrate_detailed(corpus, grid=grid, scan_hz=10.0, n_jobs=n_jobs)
+        assert table.rows == [full_table.row(q, c) for q, c in pairs]
+        assert samples == [s for s in full_samples if (s.q, s.c) in pairs]
+
+
+def test_sweep_sorts_each_scan_once_and_packs_nothing(monkeypatch):
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("morton_encode", "sort_order", "to_bit_matrix", "pack_uint", "pack_width"):
+        count(bitpack, name)
+    for name in ("encode", "_geometry", "_pack", "decode"):
+        count(codec, name)
+    corpus = generate_corpus(SMALL, seed=6, n_scans=3)
+    table, _ = calibrate_detailed(corpus, scan_hz=10.0)
+    assert len(table.rows) == 170
+    assert calls == {"morton_encode": 3, "sort_order": 3}
 
 
 def test_worst_aggregate_upper_bounds_mean():
