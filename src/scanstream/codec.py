@@ -10,12 +10,16 @@ smallest encoding wins, so payload size is nonincreasing in c.
 
 Encoding runs in two stages, as Draco quantizes and orders before it
 entropy codes.  The geometry stage depends only on (scan, q): bounding
-box, quantization, Morton codes, sort, deltas and their widths, the
-permutation stream and the delta bit matrix.  The packing stage picks the
-delta stream plan for c and writes the delta stream and the payload
-header.  Since c only changes how the deltas are packed, every c at one q
-decodes to the same points: the cell centers that `reconstruct` computes
-without encoding.
+box, quantization, Morton codes, sort, deltas and their widths.  The
+packing stage picks the delta stream plan for c and writes the
+permutation stream, the delta stream and the payload header.  Since c
+only changes how the deltas are packed, every c at one q decodes to the
+same points: the cell centers that `reconstruct` computes without
+encoding.
+
+A simulated run needs only each unit's size and those cell centers, so
+`measure` stops after the geometry stage and the plan, whose byte count
+the packing stage checks against every payload it writes.
 
 The calibration sweep needs only payload sizes and those cell centers, so
 `sweep` packs nothing and stages by scan, not by q.  It quantizes, Morton
@@ -59,6 +63,7 @@ _BLOCK_SIZES = (8192, 4096, 2048, 1024, 512, 256)
 
 _UNIT_MAGIC = b"PCU1"
 _UNIT_HEADER = struct.Struct("<4sIBB6fI")
+UNIT_HEADER_BYTES = _UNIT_HEADER.size  # what pack_unit puts ahead of the payload
 _PAYLOAD_META = struct.Struct("<II9sBBBB")
 
 
@@ -127,10 +132,6 @@ class EncodedUnit:
     c: int
     bbox: np.ndarray  # (6,) float32: min xyz, max xyz
     payload: bytes
-
-    @property
-    def payload_bits(self) -> int:
-        return 8 * len(self.payload)
 
 
 @dataclass
@@ -222,17 +223,14 @@ def _delta_stream_plans(widths: np.ndarray, cs: list[int]) -> list[_Plan]:
 
 @dataclass
 class _Geometry:
-    """Geometry stage output for one (scan, q): everything but the delta stream."""
+    """Geometry stage output for one (scan, q): the cells and their sorted deltas."""
 
-    scan_id: int
     bbox: np.ndarray
-    n: int
-    n_valid: int
-    first: bytes  # first sorted code, 72-bit big endian
-    perm_mode: int
-    perm_bytes: bytes
+    cells: np.ndarray  # (3, n) cell indices at q, in capture order
+    order: np.ndarray | None  # Morton sort order; None when it is the identity
+    first: bytes  # first sorted Morton code, 72-bit big endian
+    deltas: tuple  # deltas of the sorted codes as (hi, lo) words (see bitpack)
     widths: np.ndarray  # bit length of each delta
-    bits: np.ndarray  # delta bit matrix, one row per delta (see bitpack.to_bit_matrix)
 
 
 def _check_scan_size(scan: PointCloudScan) -> None:
@@ -241,63 +239,61 @@ def _check_scan_size(scan: PointCloudScan) -> None:
 
 
 def _geometry(scan: PointCloudScan, q: int, tight_bbox: bool) -> _Geometry:
-    """Quantize, Morton code and sort a scan; build the perm stream and delta bits."""
+    """Quantize, Morton code and sort a scan; take the deltas and their widths."""
     _check_scan_size(scan)
-    n = scan.n_points
     bbox = _coding_bbox(scan, tight_bbox)
-    hi, lo = bitpack.morton_encode(_quantize(scan.points, bbox, q), q)
+    cells = _quantize(scan.points, bbox, q)
+    hi, lo = bitpack.morton_encode(cells, q)
     order = bitpack.sort_order(hi, lo)
-    lo = lo[order]
-    hi = None if hi is None else hi[order]
+    if np.array_equal(order, np.arange(scan.n_points)):
+        order = None
+    else:
+        lo = lo[order]
+        hi = None if hi is None else hi[order]
     dhi, dlo = bitpack.deltas(hi, lo)
-    widths = bitpack.code_bit_length(dhi, dlo)
-
-    identity = bool(np.array_equal(order, np.arange(n)))
-    perm_bytes = b""
-    perm_mode = 0
-    if not identity:
-        perm_mode = 1
-        pw = int(n - 1).bit_length()
-        perm_bytes = bitpack.pack_uint(order, pw)
-
-    bits = bitpack.to_bit_matrix(dhi, dlo)
     first = bitpack.code_int(hi, lo, 0).to_bytes(9, "big")
-    return _Geometry(
-        scan.scan_id, bbox, n, scan.n_valid, first, perm_mode, perm_bytes, widths, bits
-    )
+    return _Geometry(bbox, cells, order, first, (dhi, dlo), bitpack.code_bit_length(dhi, dlo))
 
 
-def _pack(geom: _Geometry, plan: _Plan) -> bytes:
+def _payload_nbytes(n: int, geom: _Geometry, plan: _Plan) -> int:
+    """Exact payload size of an n-point scan's geometry under one delta stream plan."""
+    perm = 0 if geom.order is None else (n * int(n - 1).bit_length() + 7) // 8
+    return _PAYLOAD_META.size + perm + plan[4]
+
+
+def _pack(scan: PointCloudScan, geom: _Geometry, plan: _Plan) -> bytes:
     """Packing stage: the payload for one delta stream plan."""
-    delta_mode, global_w, block_log2, block_widths, nbytes = plan
-    bits = geom.bits
+    delta_mode, global_w, block_log2, block_widths, _ = plan
+    n = scan.n_points
+    perm_bytes = b""
+    if geom.order is not None:
+        perm_bytes = bitpack.pack_uint(geom.order, int(n - 1).bit_length())
+    bits = bitpack.to_bit_matrix(*geom.deltas)
     if delta_mode == 0:
         width_bytes = b""
         delta_bytes = bitpack.pack_width(bits, global_w)
     else:
         width_bytes = block_widths.astype(np.uint8).tobytes()
         block = 1 << block_log2
-        segs = []
+        # rows go straight into one stream: a copy per block, then their
+        # concatenation, would hold the packed deltas twice at encode's peak
+        lens = np.minimum(block, len(bits) - block * np.arange(len(block_widths)))
+        stream = np.empty(int(lens @ block_widths), dtype=np.uint8)
+        pos = 0
         for k, w in enumerate(block_widths):
-            if w == 0:
-                continue
             rows = bits[k * block : (k + 1) * block, bits.shape[1] - int(w) :]
-            segs.append(rows.ravel())
-        if segs:
-            delta_bytes = np.packbits(np.concatenate(segs)).tobytes()
-        else:
-            delta_bytes = b""
+            stream[pos : pos + rows.size].reshape(rows.shape)[...] = rows
+            pos += rows.size
+        delta_bytes = np.packbits(stream).tobytes()
 
     meta = _PAYLOAD_META.pack(
-        geom.n, geom.n_valid, geom.first, geom.perm_mode, delta_mode, global_w, block_log2
+        n, scan.n_valid, geom.first, int(geom.order is not None), delta_mode, global_w, block_log2
     )
-    payload = meta + geom.perm_bytes + width_bytes + delta_bytes
-    # `sweep` sizes payloads from the plan alone; the two must never drift apart
-    if len(payload) != len(meta) + len(geom.perm_bytes) + nbytes:
-        raise RuntimeError(
-            f"packed {len(payload)} payload bytes, the plan sized "
-            f"{len(meta) + len(geom.perm_bytes) + nbytes}"
-        )
+    payload = meta + perm_bytes + width_bytes + delta_bytes
+    # `measure` and `sweep` size payloads without packing; they must never drift apart
+    sized = _payload_nbytes(n, geom, plan)
+    if len(payload) != sized:
+        raise RuntimeError(f"packed {len(payload)} payload bytes, the plan sized {sized}")
     return payload
 
 
@@ -306,9 +302,20 @@ def encode(scan: PointCloudScan, config: CompressionConfig) -> EncodedUnit:
     config.validate()
     geom = _geometry(scan, config.q, config.tight_bbox)
     (plan,) = _delta_stream_plans(geom.widths, [config.c])
-    return EncodedUnit(
-        scan_id=geom.scan_id, q=config.q, c=config.c, bbox=geom.bbox, payload=_pack(geom, plan)
-    )
+    payload = _pack(scan, geom, plan)
+    return EncodedUnit(scan_id=scan.scan_id, q=config.q, c=config.c, bbox=geom.bbox, payload=payload)
+
+
+def measure(scan: PointCloudScan, config: CompressionConfig) -> tuple[int, PointCloudScan]:
+    """Payload size and reconstruction of a scan at one config, packing nothing:
+    (len(encode(scan, config).payload), reconstruct(scan, config.q,
+    config.tight_bbox)) from one quantization.  Rejects what encode rejects."""
+    config.validate()
+    geom = _geometry(scan, config.q, config.tight_bbox)
+    (plan,) = _delta_stream_plans(geom.widths, [config.c])
+    points = _dequantize(geom.cells, geom.bbox, config.q)
+    rebuilt = PointCloudScan(points=points, scan_id=scan.scan_id, n_valid=scan.n_valid)
+    return _payload_nbytes(scan.n_points, geom, plan), rebuilt
 
 
 def sweep(

@@ -6,10 +6,10 @@ seeded, all state transitions happen inside event handlers, and ties in the
 event heap break on (priority, insertion counter), so a scenario replays
 byte-for-byte.
 
-A scan's reconstruction error is taken at encode from its quantized cells
-and held by scan id until delivery; nothing on the wire carries it.  The
-emulated link never corrupts bytes and `decode` is a pure function of the
-payload, so decoding each delivered unit again would add no information.
+Nothing downstream of the encoder reads a unit's bytes, only their count,
+so each scan is sized by `measure`, never packed, and the transport carries
+byte counts.  The scan's reconstruction error comes from the same quantized
+cells and is held by scan id until the receiver reports the scan complete.
 """
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# decode is unused here but stays bound: perfbench wraps it on codec and this module alike
-from .codec import CompressionConfig, EncodedUnit, decode, encode, reconstruct, residual  # noqa: F401
+# encode and decode are unused here but stay bound: perfbench wraps them on codec and here alike
+from .codec import UNIT_HEADER_BYTES, CompressionConfig, decode, encode, measure, residual  # noqa: F401
 from .congestion import (
     CongestionState,
     FeedbackProtocolError,
@@ -239,17 +239,17 @@ class _Runner:
             cfg = CompressionConfig(cfg.q, cfg.c, self.sc.tight_bbox)
         else:
             cfg = self.base_cfg
-        unit = encode(scan, cfg)
-        self.pending_ptp[k] = residual(scan, reconstruct(scan, cfg.q, cfg.tight_bbox)).mean_ptp
+        nbytes, rebuilt = measure(scan, cfg)
+        self.pending_ptp[k] = residual(scan, rebuilt).mean_ptp
         self._last_q, self._last_c = cfg.q, cfg.c
-        self._enc_window.append((t, unit.payload_bits))
-        self.sender.enqueue_unit(unit)
+        self._enc_window.append((t, 8 * nbytes))
+        self.sender.enqueue_unit(k, UNIT_HEADER_BYTES + nbytes)
         self._consume_sender_drops()
         if self.sender.blocked_reason == "idle":  # a blocked sender has its own waker
             self._pace()
         if self.adaptive:
             r_cmd = min(self.cc.r_trg, self.r_ceiling)
-            self._rate_err_sum += abs(unit.payload_bits * self.sc.scan_hz - r_cmd) / r_cmd
+            self._rate_err_sum += abs(8 * nbytes * self.sc.scan_hz - r_cmd) / r_cmd
             self._rate_err_n += 1
         nxt = k + 1
         if nxt / self.sc.scan_hz < self.sc.duration - 1e-9:
@@ -260,16 +260,16 @@ class _Runner:
         for dead in self.receiver.expire_partials_below(pkt.scan_id):
             self.pending_ptp.pop(dead, None)
             self.summary.scans_lost_network += 1
-        unit = self.receiver.receive_packet(pkt, self.now)
-        if unit is not None:
-            self._deliver(unit)
+        scan_id = self.receiver.receive_packet(pkt, self.now)
+        if scan_id is not None:
+            self._deliver(scan_id)
         if self.adaptive and self.receiver.should_report(self.now):
             self._emit_feedback()
 
-    def _deliver(self, unit: EncodedUnit) -> None:
-        ptp = self.pending_ptp.pop(unit.scan_id, None)
+    def _deliver(self, scan_id: int) -> None:
+        ptp = self.pending_ptp.pop(scan_id, None)
         if ptp is None:
-            raise RunError(f"scan {unit.scan_id} delivered twice or never sent")
+            raise RunError(f"scan {scan_id} delivered twice or never sent")
         self.summary.scans_delivered += 1
         self._tick_ptp.append(ptp)
         self._all_ptp_sum += ptp

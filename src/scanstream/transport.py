@@ -1,11 +1,16 @@
 """Paced datagram transport: fragmentation, sender queue, reassembly, feedback.
 
-The sender fragments serialized scan units into MTU-sized packets, admits
-each packet through the congestion window gate, and paces emission at
-headroom x the pacing rate, as SCReAM paces media (RFC 8298).  The pacer
-is one next-send time: a packet may leave once the clock reaches it, and
-each send moves it on by that packet's wire bytes at the rate in force, so
+The sender fragments scan units into MTU-sized packets, admits each packet
+through the congestion window gate, and paces emission at headroom x the
+pacing rate, as SCReAM paces media (RFC 8298).  The pacer is one
+next-send time: a packet may leave once the clock reaches it, and each
+send moves it on by that packet's wire bytes at the rate in force, so
 packets leave spread out rather than in clumps.
+
+The emulated link never corrupts or reorders anything, and only a unit's
+length decides how it travels, so units and packets carry byte counts,
+not bytes: the sender fragments a unit's byte count, and the receiver
+counts the fragments of each scan until all have arrived.
 
 There is no retransmission.  Late or lost scan data is worthless to the
 consumer, so loss surfaces as missing scans plus controller backoff.
@@ -14,9 +19,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
-from .codec import DecodeError, EncodedUnit, pack_unit, unpack_unit
 from .congestion import CongestionState, ControlParams, FeedbackReport, can_send
 
 NOT_ECT = 0
@@ -37,11 +41,11 @@ class Packet:
     frag_count: int
     send_time: float
     ecn: int
-    payload: bytes
+    payload_len: int
 
 
 def packet_wire_size(pkt: Packet) -> int:
-    return PACKET_HEADER_BYTES + len(pkt.payload)
+    return PACKET_HEADER_BYTES + pkt.payload_len
 
 
 @dataclass(frozen=True)
@@ -68,17 +72,11 @@ class TransportParams:
 
 
 @dataclass
-class _QueuedUnit:
-    scan_id: int
-    blob: bytes
-
-
-@dataclass
 class _Frame:
     scan_id: int
-    chunks: list[bytes]
+    nbytes: int
+    frag_count: int
     next_index: int = 0
-    sent_bytes: int = 0
 
 
 class DatagramSender:
@@ -87,7 +85,7 @@ class DatagramSender:
     def __init__(self, params: TransportParams):
         params.validate()
         self.params = params
-        self.queue: deque[_QueuedUnit] = deque()
+        self.queue: deque[tuple[int, int]] = deque()  # (scan id, unit bytes)
         self.drop_log: list[int] = []  # ids of the scans dropped from the queue, in order
         self.next_seq = 1  # seq 0 is reserved for "nothing acked yet"
         self.sent_packets = 0
@@ -102,13 +100,13 @@ class DatagramSender:
 
     # ------------------------------------------------------------- queueing
 
-    def enqueue_unit(self, unit: EncodedUnit) -> None:
-        """Append a unit; beyond the cap the oldest queued unit is dropped."""
-        blob = pack_unit(unit)
+    def enqueue_unit(self, scan_id: int, nbytes: int) -> None:
+        """Append a unit of nbytes, header included; beyond the cap the oldest is dropped."""
+        if nbytes < 1:
+            raise ValueError(f"a unit needs at least one byte, got {nbytes}")
         if len(self.queue) >= self.params.sender_queue_cap:
-            victim = self.queue.popleft()
-            self.drop_log.append(victim.scan_id)
-        self.queue.append(_QueuedUnit(unit.scan_id, blob))
+            self.drop_log.append(self.queue.popleft()[0])
+        self.queue.append((scan_id, nbytes))
 
     @property
     def queue_depth(self) -> int:
@@ -144,15 +142,16 @@ class DatagramSender:
                 if not self.queue:
                     self.blocked_reason = "idle"
                     break
-                unit = self.queue.popleft()
-                chunks = [unit.blob[i : i + mtu] for i in range(0, len(unit.blob), mtu)]
-                if len(chunks) > 65535:
-                    raise ValueError(f"unit of {len(unit.blob)} bytes exceeds 65535 fragments")
-                self._frame = _Frame(unit.scan_id, chunks)
+                scan_id, nbytes = self.queue.popleft()
+                frag_count = -(-nbytes // mtu)
+                if frag_count > 65535:
+                    raise ValueError(f"unit of {nbytes} bytes exceeds 65535 fragments")
+                self._frame = _Frame(scan_id, nbytes, frag_count)
             frame = self._frame
-            payload = frame.chunks[frame.next_index]
-            wire = PACKET_HEADER_BYTES + len(payload)
-            if cc_state is not None and not can_send(cc_state, cc_params, wire, frame.sent_bytes):
+            sent_bytes = frame.next_index * mtu  # every fragment but the last is full
+            payload_len = min(mtu, frame.nbytes - sent_bytes)
+            wire = PACKET_HEADER_BYTES + payload_len
+            if cc_state is not None and not can_send(cc_state, cc_params, wire, sent_bytes):
                 self.blocked_reason = "cwnd"
                 break
             if now < self._next_send:
@@ -162,10 +161,10 @@ class DatagramSender:
                 seq=self.next_seq,
                 scan_id=frame.scan_id,
                 frag_index=frame.next_index,
-                frag_count=len(frame.chunks),
+                frag_count=frame.frag_count,
                 send_time=now,
                 ecn=ECT1,
-                payload=payload,
+                payload_len=payload_len,
             )
             out.append(pkt)
             self.next_seq += 1
@@ -175,9 +174,8 @@ class DatagramSender:
             if cc_state is not None:
                 self._inflight.append((pkt.seq, wire))
                 cc_state.bytes_in_flight += wire
-            frame.sent_bytes += len(payload)
             frame.next_index += 1
-            if frame.next_index == len(frame.chunks):
+            if frame.next_index == frame.frag_count:
                 self._frame = None
         return out
 
@@ -212,7 +210,7 @@ class DatagramSender:
 @dataclass
 class _PartialScan:
     frag_count: int
-    fragments: dict[int, bytes] = field(default_factory=dict)
+    received: int = 0
 
 
 class DatagramReceiver:
@@ -226,20 +224,20 @@ class DatagramReceiver:
         self.cumulative_ce_bytes = 0
         self.cumulative_lost_packets = 0
         self.duplicate_packets = 0
-        self.malformed_units = 0
         self.newest_send_time = 0.0
         self.newest_arrival_time = 0.0
         self.packets_since_report = 0
         self.last_report_time = 0.0
         self._partial: dict[int, _PartialScan] = {}
 
-    def receive_packet(self, pkt: Packet, now: float) -> EncodedUnit | None:
-        """Account one arrival; returns the reassembled unit when complete.
+    def receive_packet(self, pkt: Packet, now: float) -> int | None:
+        """Account one arrival; returns the scan id when its last fragment lands.
 
         The forward path is a FIFO link, so packets arrive in seq order and
         any gap is loss; an already-seen seq can only be a duplicate.  The
-        sender fragments each unit once, so rejecting seen seqs also keeps
-        a completed scan from being delivered again.
+        sender fragments each unit once under fresh seqs, so rejecting seen
+        seqs leaves each fragment counted once, and a completed scan is
+        never delivered again.
         """
         if pkt.seq <= self.highest_seq:
             self.duplicate_packets += 1
@@ -257,21 +255,14 @@ class DatagramReceiver:
         part = self._partial.get(pkt.scan_id)
         if part is None:
             part = self._partial[pkt.scan_id] = _PartialScan(pkt.frag_count)
-        if pkt.frag_count != part.frag_count or pkt.frag_index in part.fragments:
+        if pkt.frag_count != part.frag_count:
             self.duplicate_packets += 1
             return None
-        part.fragments[pkt.frag_index] = pkt.payload
-        if len(part.fragments) < part.frag_count:
+        part.received += 1
+        if part.received < part.frag_count:
             return None
-
-        blob = b"".join(part.fragments[i] for i in range(part.frag_count))
         del self._partial[pkt.scan_id]
-        try:
-            unit = unpack_unit(blob)
-        except DecodeError:
-            self.malformed_units += 1
-            return None
-        return unit
+        return pkt.scan_id
 
     def expire_partials_below(self, scan_id: int) -> list[int]:
         """Drop partial scans older than an arriving one; returns their ids.

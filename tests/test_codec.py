@@ -17,6 +17,7 @@ from scanstream.codec import (
     Q_MAX,
     Q_MIN,
     CardinalityError,
+    UNIT_HEADER_BYTES,
     CompressionConfig,
     ConfigError,
     DecodeError,
@@ -24,6 +25,7 @@ from scanstream.codec import (
     PointCloudScan,
     decode,
     encode,
+    measure,
     pack_unit,
     reconstruct,
     residual,
@@ -153,6 +155,7 @@ def sweep_points(n, seed, layout):
 @example(n=30, seed=4, layout="faces", padded=False, tight=False)
 @example(n=30, seed=5, layout="spread", padded=True, tight=True)
 def test_sweep_equals_encode_and_reconstruct(n, seed, layout, padded, tight):
+    # and so does measure, config for config
     points = sweep_points(n, seed, layout)
     n_valid = max(1, n // 2) if padded else n
     points[n_valid:] = points[n_valid - 1]  # padding repeats the last real return
@@ -169,21 +172,33 @@ def test_sweep_equals_encode_and_reconstruct(n, seed, layout, padded, tight):
         ref = reconstruct(scan, q, tight)
         assert np.array_equal(rebuilt.points, ref.points)
         assert (rebuilt.n_valid, rebuilt.scan_id) == (n_valid, seed)
+        for c, size in zip(cs, sizes):
+            nbytes, measured = measure(scan, CompressionConfig(q, c, tight))
+            assert nbytes == size
+            assert np.array_equal(measured.points, ref.points)
+            assert (measured.n_valid, measured.scan_id) == (n_valid, seed)
 
 
 def test_sweep_rejects_what_encode_rejects(monkeypatch):
+    # and so does measure
     scan = make_scan(16, 1)
     for q, c in [(7, 0), (25, 0), (12, -1), (12, 10)]:
         with pytest.raises(ConfigError):
             list(sweep(scan, [12, q], [0, c]))
+        with pytest.raises(ConfigError):
+            measure(scan, CompressionConfig(q, c))
     outside = PointCloudScan(np.array([[0.0, 0.0, 0.0], [60.0, 0.0, 0.0]]))
     with pytest.raises(OutOfRangeError):
         list(sweep(outside, [10], [0]))
+    with pytest.raises(OutOfRangeError):
+        measure(outside, CompressionConfig(10, 0))
     monkeypatch.setattr(codec, "MAX_POINTS", 15)
     with pytest.raises(ConfigError):
         encode(scan, CompressionConfig(12, 0))
     with pytest.raises(ConfigError):
         list(sweep(scan, [12], [0]))
+    with pytest.raises(ConfigError):
+        measure(scan, CompressionConfig(12, 0))
 
 
 def test_payload_nondecreasing_in_q():
@@ -214,8 +229,7 @@ def test_unit_metadata_and_sizes():
     scan = make_scan(300, 1, scan_id=77)
     unit = encode(scan, CompressionConfig(12, 4))
     assert (unit.scan_id, unit.q, unit.c) == (77, 12, 4)
-    assert unit.payload_bits == 8 * len(unit.payload)
-    assert len(pack_unit(unit)) > len(unit.payload)
+    assert len(pack_unit(unit)) == UNIT_HEADER_BYTES + len(unit.payload)
 
 
 def test_tight_bbox_roundtrip():

@@ -29,6 +29,7 @@ from scanstream.codec import (
     CompressionConfig,
     decode,
     encode,
+    measure,
     reconstruct,
     sweep,
 )
@@ -85,7 +86,8 @@ def test_decode_equals_reconstruction():
 
 
 def test_sweep_equals_encode_and_reconstruct():
-    # the calibration table's rates and errors, config for config
+    # the calibration table's rates and errors, and each run's measure,
+    # config for config
     scan = generate_corpus(PROFILE, seed=CORPUS_SEED, n_scans=1, scan_hz=SCAN_HZ)[0]
     qs = list(range(Q_MIN, Q_MAX + 1))
     cs = list(range(C_MIN, C_MAX + 1))
@@ -98,6 +100,11 @@ def test_sweep_equals_encode_and_reconstruct():
             ref = reconstruct(scan, q, tight)
             assert np.array_equal(rebuilt.points, ref.points), (q, tight)
             assert (rebuilt.n_valid, rebuilt.scan_id) == (ref.n_valid, ref.scan_id)
+            for c, size in zip(cs, sizes_at_q):
+                nbytes, measured = measure(scan, CompressionConfig(q, c, tight))
+                assert nbytes == size, (q, c, tight)
+                assert np.array_equal(measured.points, ref.points), (q, c, tight)
+                assert (measured.n_valid, measured.scan_id) == (ref.n_valid, ref.scan_id)
 
 
 def sha256_file(path) -> str:

@@ -14,7 +14,7 @@ from scanstream.transport import CE, ECT1, NOT_ECT, Packet, packet_wire_size
 
 def pkt(seq, size=1200, ecn=ECT1, scan_id=0):
     return Packet(seq=seq, scan_id=scan_id, frag_index=0, frag_count=1,
-                  send_time=0.0, ecn=ecn, payload=b"\x00" * size)
+                  send_time=0.0, ecn=ecn, payload_len=size)
 
 
 def link(capacity=8e6, **kw):

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from conftest import PACE_PROBES, PROFILE, RUN_REGISTRY, SCAN_HZ, SCENE_SEED, probe_pacing
-from scanstream import codec, pipeline
+from scanstream import bitpack, codec, pipeline, transport
 from scanstream.congestion import ControlParams
 from scanstream.metrics import read_metrics
 from scanstream.netem import LinkConfig
@@ -252,3 +252,27 @@ def test_run_and_sweep_never_decode(bounds, model, monkeypatch):
     corpus = generate_corpus(PROFILE, seed=SCENE_SEED, n_scans=1, scan_hz=SCAN_HZ)
     table, _ = calibrate_detailed(corpus, scan_hz=SCAN_HZ)
     assert len(table.rows) == 170
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "baseline"])
+def test_run_sizes_each_scan_once_and_makes_no_bytes(bounds, model, monkeypatch, mode):
+    # a unit's bytes are never read on the simulated wire, only its length
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        for owner in (module, pipeline, transport):  # wherever the name is bound
+            if getattr(owner, name, None) is fn:
+                monkeypatch.setattr(owner, name, counted)
+
+    for name in ("encode", "_pack", "pack_unit", "unpack_unit", "reconstruct", "_quantize"):
+        count(codec, name)
+    count(bitpack, "to_bit_matrix")
+    s = run_scenario(make_scenario(bounds, duration=2.0, mode=mode), model=model).summary
+    assert s.scans_delivered > 0 and math.isfinite(s.mean_ptp_mean) and s.conservation_ok
+    assert calls == {"_quantize": s.scans_generated}

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from scanstream.codec import CompressionConfig, PointCloudScan, encode
 from scanstream.congestion import ControlParams, init_state, on_feedback
 from scanstream.transport import (
     CE,
@@ -21,11 +20,9 @@ from scanstream.transport import (
 
 PARAMS = TransportParams()
 
-
-def unit_of_size(n_points, scan_id=0, seed=0):
-    rng = np.random.default_rng(seed)
-    scan = PointCloudScan(rng.uniform(-30, 30, size=(n_points, 3)), scan_id=scan_id)
-    return encode(scan, CompressionConfig(16, 0))
+# unit sizes (unit header plus payload) of the codec's q=16 units of 100,
+# 2000, 3000, 4000 and 6000 uniformly spread points
+SMALL_UNIT, MID_UNIT, BIG_UNIT, BIGGER_UNIT, HUGE_UNIT = 692, 13554, 20304, 27054, 41304
 
 
 def drain(sender, pacing_rate, now=0.0, cc=None, ccp=None, horizon=30.0):
@@ -55,39 +52,40 @@ def test_packet_header_is_27_bytes():
 
 def test_fragment_count_and_sizes():
     sender = DatagramSender(TransportParams())
-    unit = unit_of_size(3000)
-    sender.enqueue_unit(unit)
+    sender.enqueue_unit(0, BIG_UNIT)
     sent = drain(sender, 50e6)
-    blob_len = sender.sent_wire_bytes - len(sent) * PACKET_HEADER_BYTES
-    assert len(sent) == math.ceil(blob_len / PARAMS.mtu_payload)
-    assert all(len(p.payload) <= PARAMS.mtu_payload for _, p in sent)
+    assert len(sent) == math.ceil(BIG_UNIT / PARAMS.mtu_payload)
+    assert sender.sent_wire_bytes == BIG_UNIT + len(sent) * PACKET_HEADER_BYTES
+    # every fragment but the last is full
+    assert all(p.payload_len == PARAMS.mtu_payload for _, p in sent[:-1])
+    assert 0 < sent[-1][1].payload_len <= PARAMS.mtu_payload
     assert [p.frag_index for _, p in sent] == list(range(len(sent)))
     assert all(p.frag_count == len(sent) for _, p in sent)
     assert [p.seq for _, p in sent] == list(range(1, len(sent) + 1))
 
 
-def test_reassembly_restores_unit():
+def test_reassembly_delivers_scan_on_last_fragment():
     sender = DatagramSender(TransportParams())
     receiver = DatagramReceiver(TransportParams())
-    unit = unit_of_size(2000, scan_id=42)
-    sender.enqueue_unit(unit)
-    out = None
-    for t, pkt in drain(sender, 50e6):
-        got = receiver.receive_packet(pkt, t + 0.02)
-        if got is not None:
-            assert out is None, "unit delivered twice"
-            out = got
-    assert out is not None
-    assert out.scan_id == 42
-    assert out.payload == unit.payload
-    assert np.allclose(out.bbox, unit.bbox)
+    sender.enqueue_unit(42, MID_UNIT)
+    sent = drain(sender, 50e6)
+    assert len(sent) > 1
+    got = [receiver.receive_packet(pkt, t + 0.02) for t, pkt in sent]
+    assert got == [None] * (len(sent) - 1) + [42]
+    assert receiver.expire_partials_below(43) == []  # nothing left half-assembled
+
+
+def test_enqueue_rejects_an_empty_unit():
+    # a unit of no bytes has no last fragment, so its frame would never end
+    with pytest.raises(ValueError):
+        DatagramSender(TransportParams()).enqueue_unit(0, 0)
 
 
 def test_drop_oldest_beyond_cap():
     params = TransportParams(sender_queue_cap=3)
     sender = DatagramSender(params)
     for sid in range(5):
-        sender.enqueue_unit(unit_of_size(100, scan_id=sid))
+        sender.enqueue_unit(sid, SMALL_UNIT)
     assert sender.drop_log == [0, 1]
     assert sender.queue_depth == 3
 
@@ -98,15 +96,15 @@ def test_drop_oldest_beyond_cap():
 @given(
     rate=st.floats(1e4, 1e9),
     mtu=st.integers(64, 1500),
-    sizes=st.lists(st.integers(1, 600), min_size=1, max_size=4),
+    sizes=st.lists(st.integers(1, 4200), min_size=1, max_size=4),
 )
 def test_sends_are_spaced_by_wire_over_rate(rate, mtu, sizes):
     # each packet holds the pacer for its own wire bytes at headroom x rate,
     # and the sender still drains every unit it was given
     params = TransportParams(mtu_payload=mtu)
     sender = DatagramSender(params)
-    for sid, n in enumerate(sizes):
-        sender.enqueue_unit(unit_of_size(n, scan_id=sid, seed=sid))
+    for sid, nbytes in enumerate(sizes):
+        sender.enqueue_unit(sid, nbytes)
     sent = drain(sender, rate, horizon=1e6)
     assert sender.queue_depth == 0 and sender.blocked_reason == "idle"
     rate_bytes = params.pacing_headroom * rate / 8.0
@@ -118,7 +116,7 @@ def test_pacing_spreads_packets():
     # one next-send time: gaps close to wire/rate, not clumps
     params = TransportParams()
     sender = DatagramSender(params)
-    sender.enqueue_unit(unit_of_size(6000))
+    sender.enqueue_unit(0, HUGE_UNIT)
     rate = 4.0e6
     sent = drain(sender, rate)
     gaps = np.diff([t for t, _ in sent])
@@ -135,7 +133,7 @@ def test_sub_packet_budget_still_makes_progress():
     params = TransportParams()
     sender = DatagramSender(params)
     for sid in range(4):
-        sender.enqueue_unit(unit_of_size(2000, scan_id=sid, seed=sid))
+        sender.enqueue_unit(sid, MID_UNIT)
     rate = 8.0e4
     full_wire = PACKET_HEADER_BYTES + params.mtu_payload
     sent = drain(sender, rate, horizon=600.0)
@@ -153,7 +151,7 @@ def test_sender_blocked_reason_transitions():
     assert sender.pace_and_send(None, None, 1e6, 0.0) == []
     assert sender.blocked_reason == "idle"
     assert sender.next_send_opportunity(0.0) is None
-    sender.enqueue_unit(unit_of_size(4000))
+    sender.enqueue_unit(0, BIGGER_UNIT)
     sender.pace_and_send(None, None, 1e6, 0.0)
     assert sender.blocked_reason == "pacing"
     assert sender.next_send_opportunity(0.0) > 0.0
@@ -173,7 +171,7 @@ def test_cwnd_blocks_first_fragment_at_plain_window():
     cc = init_state(ccp, 3e6, 10e6)
     cc.w_ref = 1000.0  # below one full packet
     sender = DatagramSender(TransportParams())
-    sender.enqueue_unit(unit_of_size(4000))
+    sender.enqueue_unit(0, BIGGER_UNIT)
     assert sender.pace_and_send(cc, ccp, 10e6, 0.0) == []
     assert sender.blocked_reason == "cwnd"
     assert sender.next_send_opportunity(0.0) is None  # cleared by feedback, not timers
@@ -184,7 +182,7 @@ def test_cwnd_opens_to_overshoot_mid_frame():
     cc = init_state(ccp, 3e6, 10e6)
     cc.w_ref = 1300.0  # one packet fits plain, frame opens 5x
     sender = DatagramSender(TransportParams())
-    sender.enqueue_unit(unit_of_size(4000))
+    sender.enqueue_unit(0, BIGGER_UNIT)
     sent = drain(sender, 100e6, cc=cc, ccp=ccp, horizon=1.0)
     assert len(sent) >= 2
     # in-flight ran past the plain window but stayed under the overshoot cap
@@ -197,7 +195,7 @@ def test_reconcile_inflight_forgets_lost_bytes():
     cc = init_state(ccp, 3e6, 10e6)
     cc.w_ref = 1e6  # effectively no gate
     sender = DatagramSender(TransportParams())
-    sender.enqueue_unit(unit_of_size(4000))
+    sender.enqueue_unit(0, BIGGER_UNIT)
     sent = drain(sender, 100e6, cc=cc, ccp=ccp)
     total = sum(packet_wire_size(p) for _, p in sent)
     assert cc.bytes_in_flight == total
@@ -210,7 +208,7 @@ def test_reconcile_inflight_forgets_lost_bytes():
 
 
 LEDGER_PARAMS = TransportParams(mtu_payload=200)
-LEDGER_UNITS = [unit_of_size(n, scan_id=i, seed=i) for i, n in enumerate((40, 150, 500))]
+LEDGER_UNITS = [(0, 314), (1, 1029), (2, 3367)]  # q=16 units of 40, 150 and 500 points
 
 
 @given(ops=st.lists(
@@ -244,7 +242,7 @@ def test_inflight_ledger_under_sends_acks_and_losses(ops):
     for op, arg in ops:
         now += 0.05
         if op == "send":
-            sender.enqueue_unit(LEDGER_UNITS[arg])
+            sender.enqueue_unit(*LEDGER_UNITS[arg])
             for _, pkt in drain(sender, 1e9, now=now, cc=cc, ccp=ccp, horizon=now + 0.01):
                 in_transit.append(pkt)
                 sent[pkt.seq] = per_seq[pkt.seq] = packet_wire_size(pkt)
@@ -275,7 +273,7 @@ def test_baseline_sender_keeps_no_inflight_ledger():
     # without a controller no feedback ever settles a seq, so a ledger
     # entry per packet would only pile up for the whole run
     sender = DatagramSender(TransportParams())
-    sender.enqueue_unit(unit_of_size(4000))
+    sender.enqueue_unit(0, BIGGER_UNIT)
     assert drain(sender, 100e6)
     assert not sender._inflight
 
@@ -285,16 +283,16 @@ def test_baseline_sender_keeps_no_inflight_ledger():
 
 def test_gap_counts_losses():
     receiver = DatagramReceiver(TransportParams())
-    receiver.receive_packet(Packet(1, 0, 0, 9, 0.0, ECT1, b"a"), 0.1)
-    receiver.receive_packet(Packet(5, 0, 4, 9, 0.0, ECT1, b"b"), 0.2)
+    receiver.receive_packet(Packet(1, 0, 0, 9, 0.0, ECT1, 1), 0.1)
+    receiver.receive_packet(Packet(5, 0, 4, 9, 0.0, ECT1, 1), 0.2)
     assert receiver.cumulative_lost_packets == 3
-    receiver.receive_packet(Packet(5, 0, 4, 9, 0.0, ECT1, b"b"), 0.3)  # stale seq
+    receiver.receive_packet(Packet(5, 0, 4, 9, 0.0, ECT1, 1), 0.3)  # stale seq
     assert receiver.duplicate_packets == 1
 
 
 def test_ce_bytes_accumulate():
     receiver = DatagramReceiver(TransportParams())
-    pkt = Packet(1, 0, 0, 2, 0.0, CE, b"abc")
+    pkt = Packet(1, 0, 0, 2, 0.0, CE, 3)
     receiver.receive_packet(pkt, 0.1)
     assert receiver.cumulative_ce_bytes == packet_wire_size(pkt)
     assert receiver.cumulative_acked_bytes == packet_wire_size(pkt)
@@ -303,9 +301,9 @@ def test_ce_bytes_accumulate():
 def test_feedback_cadence_packets_and_time():
     params = TransportParams(feedback_every_packets=2, feedback_interval=0.010)
     receiver = DatagramReceiver(params)
-    receiver.receive_packet(Packet(1, 0, 0, 9, 0.0, ECT1, b"a"), 0.001)
+    receiver.receive_packet(Packet(1, 0, 0, 9, 0.0, ECT1, 1), 0.001)
     assert not receiver.should_report(0.001)
-    receiver.receive_packet(Packet(2, 0, 1, 9, 0.0, ECT1, b"b"), 0.002)
+    receiver.receive_packet(Packet(2, 0, 1, 9, 0.0, ECT1, 1), 0.002)
     assert receiver.should_report(0.002)
     rep = receiver.make_feedback(0.002)
     assert rep.highest_acked_seq == 2
@@ -315,7 +313,7 @@ def test_feedback_cadence_packets_and_time():
 
 def test_feedback_echoes_newest_send_time():
     receiver = DatagramReceiver(TransportParams())
-    receiver.receive_packet(Packet(1, 0, 0, 9, 0.125, ECT1, b"a"), 0.150)
+    receiver.receive_packet(Packet(1, 0, 0, 9, 0.125, ECT1, 1), 0.150)
     rep = receiver.make_feedback(0.150)
     assert rep.echo_timestamp == 0.125
     assert rep.receiver_timestamp == 0.150
@@ -324,11 +322,10 @@ def test_feedback_echoes_newest_send_time():
 def test_exactly_once_per_scan():
     sender = DatagramSender(TransportParams())
     receiver = DatagramReceiver(TransportParams())
-    unit = unit_of_size(500, scan_id=3)
-    sender.enqueue_unit(unit)
+    sender.enqueue_unit(3, 3367)
     pkts = [p for _, p in drain(sender, 100e6)]
     delivered = [receiver.receive_packet(p, 0.1) for p in pkts]
-    assert sum(d is not None for d in delivered) == 1
+    assert delivered == [None] * (len(pkts) - 1) + [3]
     # the sender fragments a unit once, so a repeat of scan 3 can only
     # carry seqs the receiver has already seen
     assert all(receiver.receive_packet(p, 0.2) is None for p in pkts)
@@ -338,7 +335,7 @@ def test_exactly_once_per_scan():
 def test_expire_partials_below_clears_dead_state():
     receiver = DatagramReceiver(TransportParams())
     # scan 0 loses its second fragment, scan 1 then completes
-    receiver.receive_packet(Packet(1, 0, 0, 2, 0.0, ECT1, b"a"), 0.1)
+    receiver.receive_packet(Packet(1, 0, 0, 2, 0.0, ECT1, 1), 0.1)
     assert receiver.expire_partials_below(1) == [0]
     assert receiver.expire_partials_below(1) == []
 
