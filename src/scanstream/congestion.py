@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 
 class FeedbackProtocolError(ValueError):
@@ -47,13 +48,13 @@ class ControlParams:
             raise ValueError("queue_delay_target, increase_gain, mss, owd_window must be positive")
 
 
-@dataclass(frozen=True)
-class FeedbackReport:
+class FeedbackReport(NamedTuple):
     """Receiver counter snapshot; all counters are cumulative.
 
     echo_timestamp is the sender-clock send time of the newest acked
     packet, reflected back so the sender can form an RTT sample without
-    clock synchronization.
+    clock synchronization.  An immutable tuple: one is made per report,
+    and a tuple builds several times faster than a frozen dataclass.
     """
 
     highest_acked_seq: int

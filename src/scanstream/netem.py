@@ -6,6 +6,10 @@ random loss.  Because service is FIFO and the capacity trace is known, a
 packet's full schedule (service start, finish, delivery) is computable at
 enqueue time; the emulator therefore never needs service events of its own
 and the caller simply schedules each arrival at the returned delivery time.
+
+Service starts never go back, so the link keeps a cursor on the trace
+segment in force at the last one and moves it forward, rather than
+searching the trace for every packet.
 """
 from __future__ import annotations
 
@@ -67,12 +71,6 @@ class LinkLedger:
     ce_marked: int = 0
 
 
-@dataclass
-class _Occupancy:
-    finish_time: float
-    wire_bytes: int
-
-
 class BottleneckLink:
     """Forward-path emulation; see the module docstring for the model."""
 
@@ -81,26 +79,26 @@ class BottleneckLink:
         self.ledger = LinkLedger()
         self._rng = np.random.default_rng(config.rng_seed)
         self._trace_times = [t for t, _ in config.capacity_trace]
-        self._buffer: deque[_Occupancy] = deque()  # packets not yet fully serialized
+        self._segment = 0  # trace index in force at the last service start
+        self._buffer: deque = deque()  # (finish time, wire bytes) of packets not yet serialized
         self._buffer_bytes = 0
         self._busy_until = 0.0  # finish time of the last scheduled packet
 
     # ------------------------------------------------------------ mechanics
 
-    def _drain_buffer(self, now: float) -> None:
-        while self._buffer and self._buffer[0].finish_time <= now:
-            self._buffer_bytes -= self._buffer[0].wire_bytes
-            self._buffer.popleft()
-
     def _serialize_end(self, start: float, bits: float) -> float:
-        """Finish time for `bits` starting at `start`, across trace steps."""
+        """Finish time for `bits` starting at `start` (no earlier than the last start)."""
         trace = self.config.capacity_trace
-        idx = max(bisect_right(self._trace_times, start) - 1, 0)
+        times = self._trace_times
+        idx = self._segment
+        while idx + 1 < len(times) and times[idx + 1] <= start:
+            idx += 1
+        self._segment = idx
         t = start
         remaining = bits
         while True:
             cap = trace[idx][1]
-            seg_end = trace[idx + 1][0] if idx + 1 < len(trace) else float("inf")
+            seg_end = trace[idx + 1][0] if idx + 1 < len(trace) else math.inf
             avail = cap * (seg_end - t)
             if remaining <= avail:
                 return t + remaining / cap
@@ -121,7 +119,9 @@ class BottleneckLink:
         if self.config.loss_rate > 0.0 and self._rng.random() < self.config.loss_rate:
             self.ledger.random_lost += 1
             return None
-        self._drain_buffer(now)
+        buffer = self._buffer
+        while buffer and buffer[0][0] <= now:  # drop what finished serializing
+            self._buffer_bytes -= buffer.popleft()[1]
         if self._buffer_bytes + wire > self.config.queue_limit:
             self.ledger.tail_dropped += 1
             return None
@@ -129,7 +129,7 @@ class BottleneckLink:
         start = max(now, self._busy_until)
         end = self._serialize_end(start, wire * 8.0)
         self._busy_until = end
-        self._buffer.append(_Occupancy(end, wire))
+        buffer.append((end, wire))
         self._buffer_bytes += wire
         queue_delay = start - now
         if queue_delay > self.config.ce_threshold and pkt.ecn == ECT1:

@@ -2,9 +2,17 @@
 
 Wires scan source -> encoder -> sender -> link -> receiver -> feedback ->
 controller in one event loop driven by simulated time. All randomness is
-seeded, all state transitions happen inside event handlers, and ties in the
-event heap break on (priority, insertion counter), so a scenario replays
+seeded, all state transitions happen inside event handlers, and events are
+handled in (time, priority, insertion counter) order, so a scenario replays
 byte-for-byte.
+
+Events are (t, prio, counter, handler, payload) tuples in three queues.
+Arrivals sit in a deque in due order, because FIFO service never ends a
+packet before the one ahead of it and each is due its service end plus
+the propagation delay; feedback reports too, because each is due the
+clock plus that delay and the clock never goes back.  The scan, metrics
+tick, feedback timer and one pace wake sit in a heap of a few entries.
+The loop takes the smallest of the three heads: one heap's order.
 
 Nothing downstream of the encoder reads a unit's bytes, only their count,
 so each scan is sized by `measure`, never packed, and the transport carries
@@ -14,6 +22,7 @@ cells and is held by scan id until the receiver reports the scan complete.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,7 +157,9 @@ class _Runner:
             base_cfg.validate()
         self.base_cfg = base_cfg
 
-        self._heap: list = []
+        self._heap: list = []  # scan, metrics tick, feedback timer, pace wake
+        self._arrivals: deque = deque()  # in due order: FIFO service
+        self._feedback: deque = deque()  # in due order: made at now, due now + prop_delay
         self._counter = 0
         self._next_pace: float | None = None  # time of the one pending pace event
         self.now = 0.0
@@ -191,29 +202,28 @@ class _Runner:
 
     # -------------------------------------------------------------- handlers
 
-    def _pacing_rate(self) -> float:
-        if self.adaptive:
-            return self.cc.r_trg
-        return self.sc.baseline.pacing_bps
-
     def _pace(self) -> None:
-        packets = self.sender.pace_and_send(self.cc, self.ccp if self.adaptive else None,
-                                            self._pacing_rate(), self.now)
-        for pkt in packets:
-            if self.adaptive:
-                cap = self.ccp.overshoot_factor * self.cc.w_ref
-                frac = self.cc.bytes_in_flight / cap
+        now = self.now
+        cc = self.cc
+        if cc is None:
+            packets = self.sender.pace_and_send(None, None, self.sc.baseline.pacing_bps, now)
+        else:
+            packets = self.sender.pace_and_send(cc, self.ccp, cc.r_trg, now)
+            if packets:  # in-flight bytes only grow within one call: the last send is the peak
+                cap = self.ccp.overshoot_factor * cc.w_ref
+                frac = cc.bytes_in_flight / cap
                 if frac > self.summary.max_bif_fraction:
                     self.summary.max_bif_fraction = frac
-                if self.cc.bytes_in_flight > cap * (1.0 + 1e-9):
+                if cc.bytes_in_flight > cap * (1.0 + 1e-9):
                     raise RunError(
-                        f"in-flight bytes {self.cc.bytes_in_flight} exceed "
-                        f"{self.ccp.overshoot_factor} x w_ref {self.cc.w_ref} at t={self.now:.6f}"
+                        f"in-flight bytes {cc.bytes_in_flight} exceed "
+                        f"{self.ccp.overshoot_factor} x w_ref {cc.w_ref} at t={now:.6f}"
                     )
-            slot = self.link.enqueue(pkt, self.now)
+        for pkt in packets:
+            slot = self.link.enqueue(pkt, now)
             if slot is not None:
-                delivered, at = slot
-                self._push(at, _ARRIVAL, self._on_arrival, delivered)
+                self._arrivals.append((slot[1], _ARRIVAL, self._counter, self._on_arrival, slot[0]))
+                self._counter += 1
         if self.sender.blocked_reason == "pacing":
             self._arm_pace_timer()
 
@@ -284,7 +294,9 @@ class _Runner:
         """
         report = self.receiver.make_feedback(self.now)
         self.summary.feedback_reports += 1
-        self._push(self.now + self.sc.link.prop_delay, _FEEDBACK, self._on_feedback, report)
+        self._feedback.append((self.now + self.sc.link.prop_delay, _FEEDBACK, self._counter,
+                               self._on_feedback, report))
+        self._counter += 1
 
     def _on_feedback(self, report: FeedbackReport) -> None:
         # settle first: on_feedback's growth test reads the settled value
@@ -362,16 +374,29 @@ class _Runner:
         if self.adaptive:
             self._push(self.sc.transport.feedback_interval, _FB_TIMER, self._on_fb_timer)
 
-        pending_arrivals = 0
-        while self._heap:
-            t, prio, _, handler, payload = heapq.heappop(self._heap)
-            if t > self.sc.duration + 1e-9:
-                if prio == _ARRIVAL:
-                    pending_arrivals += 1
-                continue
-            self.now = t
-            handler(payload)
+        heap, arrivals, feedback = self._heap, self._arrivals, self._feedback
+        heappop = heapq.heappop
+        end = self.sc.duration + 1e-9
+        idle = (float("inf"),)
+        while True:
+            event = heap[0] if heap else idle
+            source = heap
+            if arrivals and arrivals[0] < event:
+                event, source = arrivals[0], arrivals
+            if feedback and feedback[0] < event:
+                event, source = feedback[0], feedback
+            if event[0] > end:  # so is every later event; also ends an empty loop
+                break
+            if source is heap:
+                heappop(heap)
+            else:
+                source.popleft()
+            self.now = event[0]
+            event[3](event[4])
 
+        pending_arrivals = len(arrivals)
+        for queue in (heap, arrivals, feedback):  # queued handlers would keep self alive in a cycle
+            queue.clear()
         self._finalize(pending_arrivals)
         return self.rows, self.summary
 

@@ -33,7 +33,7 @@ CE = 3
 PACKET_HEADER_BYTES = 27
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     seq: int
     scan_id: int
@@ -157,22 +157,16 @@ class DatagramSender:
             if now < self._next_send:
                 self.blocked_reason = "pacing"
                 break
-            pkt = Packet(
-                seq=self.next_seq,
-                scan_id=frame.scan_id,
-                frag_index=frame.next_index,
-                frag_count=frame.frag_count,
-                send_time=now,
-                ecn=ECT1,
-                payload_len=payload_len,
-            )
-            out.append(pkt)
-            self.next_seq += 1
+            seq = self.next_seq
+            # seq, scan_id, frag_index, frag_count, send_time, ecn, payload_len
+            out.append(Packet(seq, frame.scan_id, frame.next_index, frame.frag_count,
+                              now, ECT1, payload_len))
+            self.next_seq = seq + 1
             self.sent_packets += 1
             self.sent_wire_bytes += wire
             self._next_send = max(self._next_send, now) + wire / rate_bytes
             if cc_state is not None:
-                self._inflight.append((pkt.seq, wire))
+                self._inflight.append((seq, wire))
                 cc_state.bytes_in_flight += wire
             frame.next_index += 1
             if frame.next_index == frame.frag_count:
@@ -223,7 +217,6 @@ class DatagramReceiver:
         self.cumulative_acked_bytes = 0
         self.cumulative_ce_bytes = 0
         self.cumulative_lost_packets = 0
-        self.duplicate_packets = 0
         self.newest_send_time = 0.0
         self.newest_arrival_time = 0.0
         self.packets_since_report = 0
@@ -237,10 +230,10 @@ class DatagramReceiver:
         any gap is loss; an already-seen seq can only be a duplicate.  The
         sender fragments each unit once under fresh seqs, so rejecting seen
         seqs leaves each fragment counted once, and a completed scan is
-        never delivered again.
+        never delivered again.  A seen seq moves no counter, and a fragment
+        whose count disagrees with its scan's first never counts toward it.
         """
         if pkt.seq <= self.highest_seq:
-            self.duplicate_packets += 1
             return None
         self.cumulative_lost_packets += pkt.seq - self.highest_seq - 1
         self.highest_seq = pkt.seq
@@ -256,7 +249,6 @@ class DatagramReceiver:
         if part is None:
             part = self._partial[pkt.scan_id] = _PartialScan(pkt.frag_count)
         if pkt.frag_count != part.frag_count:
-            self.duplicate_packets += 1
             return None
         part.received += 1
         if part.received < part.frag_count:
@@ -269,11 +261,16 @@ class DatagramReceiver:
 
         Frames leave the sender in scan order over an in-order link, so once
         any fragment of a newer scan arrives, missing fragments of older
-        scans can never show up: that reassembly state is dead.
+        scans can never show up: that reassembly state is dead.  For the
+        same reason scans enter the partial table in ascending id, so its
+        first key is its oldest.
         """
-        dead = [sid for sid in self._partial if sid < scan_id]
+        partial = self._partial
+        if not partial or next(iter(partial)) >= scan_id:
+            return []
+        dead = [sid for sid in partial if sid < scan_id]
         for sid in dead:
-            del self._partial[sid]
+            del partial[sid]
         return dead
 
     def should_report(self, now: float) -> bool:
@@ -285,11 +282,8 @@ class DatagramReceiver:
         """Cumulative-counter snapshot; echoes the newest packet's send time."""
         self.packets_since_report = 0
         self.last_report_time = now
-        return FeedbackReport(
-            highest_acked_seq=self.highest_seq,
-            cumulative_acked_bytes=self.cumulative_acked_bytes,
-            cumulative_ce_marked_bytes=self.cumulative_ce_bytes,
-            cumulative_lost_packets=self.cumulative_lost_packets,
-            receiver_timestamp=self.newest_arrival_time,
-            echo_timestamp=self.newest_send_time,
-        )
+        # highest_acked_seq, cumulative_acked_bytes, cumulative_ce_marked_bytes,
+        # cumulative_lost_packets, receiver_timestamp, echo_timestamp
+        return FeedbackReport(self.highest_seq, self.cumulative_acked_bytes,
+                              self.cumulative_ce_bytes, self.cumulative_lost_packets,
+                              self.newest_arrival_time, self.newest_send_time)

@@ -13,13 +13,22 @@ the only lock on the loss path (tail drops, loss cuts, expired partial
 scans, lost sequence numbers leaving the in-flight ledger), which the step
 run never enters; the baseline digest is the only lock on the fixed-rate
 path.  A change that moves any of them changes behaviour, and must say so.
+
+The two tie-heavy tiny-MTU digests were recorded before arrivals and
+feedback left the event heap for two deques merged with it.  A zero
+propagation delay lands each report at the instant it was made, and a
+300 ms one keeps hundreds of arrivals and reports in flight at once, so
+both lock the order in which equal-time events from the heap and from
+the two deques are handled.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
-from conftest import CORPUS_SEED, PROFILE, SCAN_HZ
+import pytest
+from conftest import CORPUS_SEED, PROFILE, SCAN_HZ, tiny_mtu_scenario
 
 from scanstream.codec import (
     C_MAX,
@@ -34,6 +43,7 @@ from scanstream.codec import (
     sweep,
 )
 from scanstream.metrics import write_metrics
+from scanstream.pipeline import run_scenario
 from scanstream.predictor import save_model
 from scanstream.scangen import generate_corpus
 
@@ -43,6 +53,11 @@ STEP_METRICS_SHA256 = "87a217795c06bc0eeb28de14b8c25ec72aefba424e43fb77f6598fb16
 DECODED_SHA256 = "bc9766f93e4e1d9551ce008522b3bc91c45a8574961bfed4844e79262d325402"
 TINY_MTU_METRICS_SHA256 = "58dc37290f5959e9443519f048505c0f1cadf25408076a8819f22feef79e4402"
 BASELINE_METRICS_SHA256 = "befc3f9c8b38540fc4231d94c22cd3231467be6896e611300de9a99da803610b"
+# (prop_delay, loss_rate) -> metrics CSV digest of a 3 s tiny-MTU run
+TIE_HEAVY_METRICS_SHA256 = {
+    (0.0, 0.01): "afbe91e6fc3a8db2e940468a8742cfb7f670003f0c867de33035f3f3464dd01d",
+    (0.3, 0.10): "680aef0b32d0e0dc81adb2848ea9c4e4a01b3c843fb6316cebd1cd18940cd897",
+}
 
 
 def payload_digest(units) -> str:
@@ -132,3 +147,16 @@ def test_tiny_mtu_run_metrics_bytes(tiny_mtu_run, tmp_path):
     assert s.packets_tail_dropped > 0 and s.scans_lost_network > 0
     write_metrics(tmp_path / "tiny.csv", tiny_mtu_run.rows)
     assert sha256_file(tmp_path / "tiny.csv") == TINY_MTU_METRICS_SHA256
+
+
+@pytest.mark.parametrize("prop_delay, loss_rate", sorted(TIE_HEAVY_METRICS_SHA256))
+def test_tie_heavy_run_metrics_bytes(bounds, model, tmp_path, prop_delay, loss_rate):
+    scenario = tiny_mtu_scenario(bounds)
+    scenario.link = dataclasses.replace(scenario.link, prop_delay=prop_delay,
+                                        loss_rate=loss_rate)
+    result = run_scenario(scenario, model=model)
+    s = result.summary
+    assert s.conservation_ok and s.packets_random_lost > 0 and s.feedback_reports > 0
+    write_metrics(tmp_path / "tie.csv", result.rows)
+    digest = sha256_file(tmp_path / "tie.csv")
+    assert digest == TIE_HEAVY_METRICS_SHA256[prop_delay, loss_rate]

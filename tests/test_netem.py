@@ -1,3 +1,5 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,60 @@ def test_packet_straddling_a_step_splits_service():
     start = 1.0 - (bits / 2) / 8e6  # half the bits fit before the step
     _, at = lk.enqueue(pkt(1), start)
     assert at == pytest.approx(1.0 + (bits / 2) / 1e6)
+
+
+def reference_serialize_end(trace, start, bits):
+    """Finish time by searching the whole trace for the start's segment."""
+    times = [t for t, _ in trace]
+    idx = max(bisect_right(times, start) - 1, 0)
+    t, remaining = start, bits
+    while True:
+        cap = trace[idx][1]
+        seg_end = trace[idx + 1][0] if idx + 1 < len(trace) else float("inf")
+        avail = cap * (seg_end - t)
+        if remaining <= avail:
+            return t + remaining / cap, idx
+        remaining -= avail
+        t = seg_end
+        idx += 1
+
+
+CURSOR_TRACE = step_trace([(0.0, 8e6), (1.0, 1e6), (1.001, 2e6), (1.002, 4e6), (2.0, 3e6)])
+CURSOR_CASES = [  # (start, bits), in the order service starts come
+    (0.5, 8000.0),  # inside the first segment
+    (1.0, 100.0),  # exactly on a boundary
+    (1.0, 100.0),  # the same start again
+    (1.0009, 9000.0),  # spans three segments
+    (1.001, 8.0),  # on a boundary the cursor has already passed
+    (1.5, 4e6 * 0.5),  # ends exactly on the last step
+    (2.0, 24.0),  # starts exactly on the last step
+    (7.25, 3e6),  # after the last step
+]
+
+
+def test_segment_cursor_matches_a_full_search():
+    lk = BottleneckLink(LinkConfig(capacity_trace=CURSOR_TRACE))
+    times = [t for t, _ in CURSOR_TRACE]
+    for start, bits in CURSOR_CASES:
+        end, _ = reference_serialize_end(CURSOR_TRACE, start, bits)
+        assert lk._serialize_end(start, bits) == end, (start, bits)
+        # the cursor sits on the segment in force at the start
+        assert lk._segment == bisect_right(times, start) - 1, (start, bits)
+        # a fresh link, whose cursor starts at the first segment, agrees
+        fresh = BottleneckLink(LinkConfig(capacity_trace=CURSOR_TRACE))
+        assert fresh._serialize_end(start, bits) == end, (start, bits)
+
+
+def test_delivery_times_match_a_full_search_across_steps():
+    trace = step_trace([(0.0, 8e6), (0.0005, 1e6), (0.001, 2e6), (0.0015, 4e6)])
+    lk = BottleneckLink(LinkConfig(capacity_trace=trace, prop_delay=0.01,
+                                   queue_limit=10**9, ce_threshold=1.0))
+    busy = 0.0
+    for i in range(1, 40):
+        now = i * 1e-4
+        start = max(now, busy)
+        busy, _ = reference_serialize_end(trace, start, 8.0 * packet_wire_size(pkt(i, size=73)))
+        assert lk.enqueue(pkt(i, size=73), now) == (pkt(i, size=73), busy + 0.01)
 
 
 def test_capacity_at_lookup():

@@ -1,12 +1,22 @@
 """Closed-loop runs on simple links: saturation, determinism, accounting."""
 
 import dataclasses
+import gc
 import math
+import weakref
 from collections import Counter
 
 import pytest
 
-from conftest import PACE_PROBES, PROFILE, RUN_REGISTRY, SCAN_HZ, SCENE_SEED, probe_pacing
+from conftest import (
+    PACE_PROBES,
+    PROFILE,
+    RUN_REGISTRY,
+    SCAN_HZ,
+    SCENE_SEED,
+    probe_pacing,
+    tiny_mtu_scenario,
+)
 from scanstream import bitpack, codec, pipeline, transport
 from scanstream.congestion import ControlParams
 from scanstream.metrics import read_metrics
@@ -238,6 +248,21 @@ def test_feedback_at_a_pace_instant_does_not_stall_the_sender(bounds, model, mon
     # the sender's own timer keeps running past the collision
     assert sum(t > wake for t in probe.wake_instants) > 100
     assert result.summary.scans_delivered >= 8
+
+
+def test_finished_run_holds_no_cycle_through_its_runner(bounds, model):
+    # events still queued past the end hold bound handlers; left there, each
+    # finished runner would wait for the cyclic collector, and the process
+    # would grow by a whole runner per run until it came
+    runner = _Runner(tiny_mtu_scenario(bounds, duration=1.0), model)
+    gc.disable()
+    try:
+        runner.run()
+        ref = weakref.ref(runner)
+        del runner
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_run_and_sweep_never_decode(bounds, model, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from scanstream.congestion import ControlParams, init_state, on_feedback
+from scanstream.congestion import ControlParams, FeedbackReport, init_state, on_feedback
 from scanstream.transport import (
     CE,
     ECT1,
@@ -281,13 +281,23 @@ def test_baseline_sender_keeps_no_inflight_ledger():
 # -------------------------------------------------------------- receiver
 
 
+def receiver_counters(receiver):
+    return (receiver.highest_seq, receiver.cumulative_acked_bytes,
+            receiver.cumulative_ce_bytes, receiver.cumulative_lost_packets,
+            receiver.newest_send_time, receiver.newest_arrival_time,
+            receiver.packets_since_report,
+            {sid: part.received for sid, part in receiver._partial.items()})
+
+
 def test_gap_counts_losses():
     receiver = DatagramReceiver(TransportParams())
     receiver.receive_packet(Packet(1, 0, 0, 9, 0.0, ECT1, 1), 0.1)
     receiver.receive_packet(Packet(5, 0, 4, 9, 0.0, ECT1, 1), 0.2)
     assert receiver.cumulative_lost_packets == 3
-    receiver.receive_packet(Packet(5, 0, 4, 9, 0.0, ECT1, 1), 0.3)  # stale seq
-    assert receiver.duplicate_packets == 1
+    before = receiver_counters(receiver)
+    # a stale seq is ignored: nothing is counted and nothing delivered
+    assert receiver.receive_packet(Packet(5, 0, 4, 9, 0.0, ECT1, 1), 0.3) is None
+    assert receiver_counters(receiver) == before
 
 
 def test_ce_bytes_accumulate():
@@ -319,6 +329,38 @@ def test_feedback_echoes_newest_send_time():
     assert rep.receiver_timestamp == 0.150
 
 
+def test_feedback_fills_each_report_field_by_name():
+    receiver = DatagramReceiver(TransportParams())
+    receiver.receive_packet(Packet(1, 0, 0, 9, 0.125, ECT1, 11), 0.150)
+    receiver.receive_packet(Packet(4, 0, 3, 9, 0.375, CE, 13), 0.500)
+    rep = receiver.make_feedback(0.625)
+    assert rep.highest_acked_seq == 4
+    assert rep.cumulative_acked_bytes == 2 * PACKET_HEADER_BYTES + 24
+    assert rep.cumulative_ce_marked_bytes == PACKET_HEADER_BYTES + 13
+    assert rep.cumulative_lost_packets == 2
+    assert rep.receiver_timestamp == 0.500  # arrival of the newest packet, not `now`
+    assert rep.echo_timestamp == 0.375
+
+
+def test_feedback_report_is_immutable():
+    receiver = DatagramReceiver(TransportParams())
+    receiver.receive_packet(Packet(1, 0, 0, 9, 0.125, ECT1, 1), 0.150)
+    rep = receiver.make_feedback(0.150)
+    for name in FeedbackReport._fields:
+        with pytest.raises(AttributeError):
+            setattr(rep, name, 0)
+    assert rep == receiver.make_feedback(0.150)
+
+
+def test_fragment_count_mismatch_never_counts_toward_its_scan():
+    receiver = DatagramReceiver(TransportParams())
+    assert receiver.receive_packet(Packet(1, 0, 0, 2, 0.0, ECT1, 1), 0.1) is None
+    # a fresh seq claiming another fragment count for scan 0 is ignored
+    assert receiver.receive_packet(Packet(2, 0, 1, 3, 0.0, ECT1, 1), 0.2) is None
+    assert receiver._partial[0].received == 1
+    assert receiver.receive_packet(Packet(3, 0, 1, 2, 0.0, ECT1, 1), 0.3) == 0
+
+
 def test_exactly_once_per_scan():
     sender = DatagramSender(TransportParams())
     receiver = DatagramReceiver(TransportParams())
@@ -327,9 +369,10 @@ def test_exactly_once_per_scan():
     delivered = [receiver.receive_packet(p, 0.1) for p in pkts]
     assert delivered == [None] * (len(pkts) - 1) + [3]
     # the sender fragments a unit once, so a repeat of scan 3 can only
-    # carry seqs the receiver has already seen
+    # carry seqs the receiver has already seen, and moves no counter
+    before = receiver_counters(receiver)
     assert all(receiver.receive_packet(p, 0.2) is None for p in pkts)
-    assert receiver.duplicate_packets == len(pkts)
+    assert receiver_counters(receiver) == before
 
 
 def test_expire_partials_below_clears_dead_state():
@@ -338,6 +381,17 @@ def test_expire_partials_below_clears_dead_state():
     receiver.receive_packet(Packet(1, 0, 0, 2, 0.0, ECT1, 1), 0.1)
     assert receiver.expire_partials_below(1) == [0]
     assert receiver.expire_partials_below(1) == []
+
+
+def test_expire_partials_below_keeps_the_arriving_and_newer_scans():
+    receiver = DatagramReceiver(TransportParams())
+    for seq, scan_id in enumerate((2, 3, 5), start=1):
+        receiver.receive_packet(Packet(seq, scan_id, 0, 2, 0.0, ECT1, 1), 0.1)
+    assert receiver.expire_partials_below(2) == []
+    assert receiver.expire_partials_below(5) == [2, 3]
+    assert list(receiver._partial) == [5]
+    assert receiver.expire_partials_below(5) == []
+    assert list(receiver._partial) == [5]
 
 
 def test_params_validation():
