@@ -27,7 +27,7 @@ from .residual_opt import (
 )
 from .pipeline import RunError, run_scenario
 from .scangen import SensorProfile, generate_corpus
-from .scenario import BaselineConfig, ScenarioError, load_scenario
+from .scenario import ScenarioError, load_scenario
 
 
 def _velocity(text: str) -> tuple[float, float]:
@@ -92,7 +92,10 @@ def _cmd_baseline(args) -> int:
     scenario = load_scenario(args.scenario)
     _apply_run_overrides(scenario, args)
     scenario.mode = "baseline"
-    scenario.baseline = BaselineConfig(q=args.q, c=args.c, pacing_bps=args.pacing_bps)
+    flags = {"q": args.q, "c": args.c, "pacing_bps": args.pacing_bps}
+    scenario.baseline = dataclasses.replace(
+        scenario.baseline, **{k: v for k, v in flags.items() if v is not None}
+    )
     result = run_scenario(scenario, metrics_path=args.out)
     if result.metrics_path:
         print(f"metrics: {result.metrics_path}")
@@ -142,9 +145,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="override scan-source and link seeds")
     p.add_argument("--duration", type=float, default=None, help="override duration (s)")
-    p.add_argument("--q", type=int, default=16, help="fixed quantization bits")
-    p.add_argument("--c", type=int, default=0, help="fixed compression level")
-    p.add_argument("--pacing-bps", type=float, default=3.5e6, help="fixed pacing rate")
+    p.add_argument("--q", type=int, help="fixed quantization bits (default: the scenario's)")
+    p.add_argument("--c", type=int, help="fixed compression level (default: the scenario's)")
+    p.add_argument("--pacing-bps", type=float, help="fixed pacing rate (default: the scenario's)")
     p.add_argument("--out", default=None, help="override metrics CSV path")
     p.set_defaults(func=_cmd_baseline)
     return top

@@ -166,29 +166,35 @@ def on_feedback(
     Raises FeedbackProtocolError on regressed counters, leaving the state
     untouched so the caller can log and drop the report.
     """
+    # each field read once: CPython 3.11 does not specialise NamedTuple field reads
+    seq = report.highest_acked_seq
+    acked = report.cumulative_acked_bytes
+    ce = report.cumulative_ce_marked_bytes
+    lost = report.cumulative_lost_packets
+    echo = report.echo_timestamp
     if (
-        report.cumulative_acked_bytes < state.prev_acked_bytes
-        or report.cumulative_ce_marked_bytes < state.prev_ce_bytes
-        or report.cumulative_lost_packets < state.prev_lost_packets
-        or report.highest_acked_seq < state.prev_highest_seq
+        acked < state.prev_acked_bytes
+        or ce < state.prev_ce_bytes
+        or lost < state.prev_lost_packets
+        or seq < state.prev_highest_seq
     ):
         raise FeedbackProtocolError(
-            f"feedback counters regressed: acked {report.cumulative_acked_bytes} "
-            f"(prev {state.prev_acked_bytes}), ce {report.cumulative_ce_marked_bytes} "
-            f"(prev {state.prev_ce_bytes}), lost {report.cumulative_lost_packets} "
-            f"(prev {state.prev_lost_packets}), seq {report.highest_acked_seq} "
+            f"feedback counters regressed: acked {acked} "
+            f"(prev {state.prev_acked_bytes}), ce {ce} "
+            f"(prev {state.prev_ce_bytes}), lost {lost} "
+            f"(prev {state.prev_lost_packets}), seq {seq} "
             f"(prev {state.prev_highest_seq})"
         )
 
-    new_acked = report.cumulative_acked_bytes - state.prev_acked_bytes
-    new_ce = report.cumulative_ce_marked_bytes - state.prev_ce_bytes
-    new_lost = report.cumulative_lost_packets - state.prev_lost_packets
+    new_acked = acked - state.prev_acked_bytes
+    new_ce = ce - state.prev_ce_bytes
+    new_lost = lost - state.prev_lost_packets
 
-    if new_acked > 0 and report.echo_timestamp > state.prev_echo:
-        rtt = now - report.echo_timestamp
+    if new_acked > 0 and echo > state.prev_echo:
+        rtt = now - echo
         if rtt > 0:
             update_srtt(state, params, rtt)
-        _record_owd(state, params, now, report.receiver_timestamp - report.echo_timestamp)
+        _record_owd(state, params, now, report.receiver_timestamp - echo)
 
     if new_acked > 0:
         mark_fraction = min(new_ce / new_acked, 1.0)
@@ -216,10 +222,10 @@ def on_feedback(
             state.w_ref += params.increase_gain * new_acked * params.mss / state.w_ref
         state.w_ref = min(state.w_ref, params.w_max)
 
-    state.prev_acked_bytes = report.cumulative_acked_bytes
-    state.prev_ce_bytes = report.cumulative_ce_marked_bytes
-    state.prev_lost_packets = report.cumulative_lost_packets
-    state.prev_highest_seq = report.highest_acked_seq
-    state.prev_echo = max(state.prev_echo, report.echo_timestamp)
+    state.prev_acked_bytes = acked
+    state.prev_ce_bytes = ce
+    state.prev_lost_packets = lost
+    state.prev_highest_seq = seq
+    state.prev_echo = max(state.prev_echo, echo)
     state.r_trg = target_bitrate(state)
     return state

@@ -168,11 +168,10 @@ class _Runner:
         self.rows: list[MetricsRow] = []
         self.summary = RunSummary(mode=scenario.mode, duration=scenario.duration)
 
-        self._enc_window: list[tuple[float, int]] = []  # (t, payload_bits)
-        self._enc_head = 0
+        self._enc_window: deque = deque()  # (t, payload_bits) of the scans in the last second
+        self._enc_bits = 0  # sum of the window's payload_bits
         self._last_q = -1
         self._last_c = -1
-        self._drops_seen = 0
         self._prev_acked = 0
         self._prev_ce = 0
         self._tick_ptp: list[float] = []
@@ -231,13 +230,6 @@ class _Runner:
         self._next_pace = None
         self._pace()
 
-    def _consume_sender_drops(self) -> None:
-        log = self.sender.drop_log
-        while self._drops_seen < len(log):
-            self.pending_ptp.pop(log[self._drops_seen], None)
-            self._drops_seen += 1
-            self.summary.scans_dropped_sender += 1
-
     def _on_scan(self, k: int) -> None:
         t = self.now
         scan = self.gen.generate(t, scan_id=k)
@@ -252,14 +244,18 @@ class _Runner:
         nbytes, rebuilt = measure(scan, cfg)
         self.pending_ptp[k] = residual(scan, rebuilt).mean_ptp
         self._last_q, self._last_c = cfg.q, cfg.c
-        self._enc_window.append((t, 8 * nbytes))
-        self.sender.enqueue_unit(k, UNIT_HEADER_BYTES + nbytes)
-        self._consume_sender_drops()
+        bits = 8 * nbytes
+        self._enc_window.append((t, bits))
+        self._enc_bits += bits
+        dropped = self.sender.enqueue_unit(k, UNIT_HEADER_BYTES + nbytes)
+        if dropped is not None:
+            self.pending_ptp.pop(dropped, None)
+            self.summary.scans_dropped_sender += 1
         if self.sender.blocked_reason == "idle":  # a blocked sender has its own waker
             self._pace()
         if self.adaptive:
             r_cmd = min(self.cc.r_trg, self.r_ceiling)
-            self._rate_err_sum += abs(8 * nbytes * self.sc.scan_hz - r_cmd) / r_cmd
+            self._rate_err_sum += abs(bits * self.sc.scan_hz - r_cmd) / r_cmd
             self._rate_err_n += 1
         nxt = k + 1
         if nxt / self.sc.scan_hz < self.sc.duration - 1e-9:
@@ -321,12 +317,9 @@ class _Runner:
     def _enc_bitrate(self) -> float:
         horizon = self.now - 1.0
         w = self._enc_window
-        while self._enc_head < len(w) and w[self._enc_head][0] <= horizon:
-            self._enc_head += 1
-        if self._enc_head > 4096:
-            del w[: self._enc_head]
-            self._enc_head = 0
-        return float(sum(bits for _, bits in w[self._enc_head:]))
+        while w and w[0][0] <= horizon:
+            self._enc_bits -= w.popleft()[1]
+        return float(self._enc_bits)
 
     def _on_metrics(self, m: int) -> None:
         t = self.now

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import codec
 from .codec import C_MAX, C_MIN, Q_MAX, Q_MIN, PointCloudScan
-from .predictor import ConfigFloor, ConfigGrid, RateSample
+from .predictor import ConfigFloor, RateSample
 
 TABLE_FORMAT = "scanstream-residual-table-v1"
 METRICS = ("mean_ptp", "max_ptp", "l2_norm")
@@ -80,6 +80,8 @@ class RateBounds:
             raise ValueError(
                 f"need 0 < r_min <= r_max, got ({self.r_min_bps}, {self.r_max_bps})"
             )
+        if self.metric not in METRICS:
+            raise ValueError(f"metric must be one of {METRICS}, got {self.metric!r}")
 
 
 def _corpus_fingerprint(corpus: list[PointCloudScan]) -> str:
@@ -108,21 +110,18 @@ def _sweep_scan(args) -> np.ndarray:
 
 def calibrate_detailed(
     corpus: list[PointCloudScan],
-    grid: ConfigGrid | None = None,
     scan_hz: float = 10.0,
     aggregate: str = "mean",
     tight_bbox: bool = False,
     n_jobs: int = 1,
 ) -> tuple[ResidualTable, list[RateSample]]:
-    """Grid rate/residual sweep over a corpus.
+    """Rate/residual sweep of every (q, c) over a corpus.
 
-    `grid` names the (q, c) entries to sweep; None means the full Q x C
-    product (predictions attached to the grid are ignored, only its entries
-    matter here).  Returns the aggregated table plus one RateSample per
-    (scan, q, c) for model fitting.  Each scan is swept by `codec.sweep`,
-    which sorts it once and takes every entry's rate from its payload size
-    without packing; scans are independent, so the sweep may fan out one
-    scan per task across processes, and results merge in corpus order.
+    Returns the aggregated table plus one RateSample per (scan, q, c) for
+    model fitting.  Each scan is swept by `codec.sweep`, which sorts it
+    once and takes every entry's rate from its payload size without
+    packing; scans are independent, so the sweep may fan out one scan per
+    task across processes, and results merge in corpus order.
     """
     if not corpus:
         raise CalibrationError("calibration corpus is empty")
@@ -131,19 +130,9 @@ def calibrate_detailed(
     n_points = corpus[0].n_points
     if any(s.n_points != n_points for s in corpus):
         raise CalibrationError("corpus scans must share one point count")
-    if grid is None:
-        pairs = [(q, c) for q in range(Q_MIN, Q_MAX + 1) for c in range(C_MIN, C_MAX + 1)]
-    else:
-        if grid.n_points != n_points:
-            raise CalibrationError(
-                f"grid was built for n_points={grid.n_points}, corpus has {n_points}"
-            )
-        pairs = sorted({(int(q), int(c)) for q, c in zip(grid.qs, grid.cs)})
-
-    # a sparse grid still sweeps every c at each of its q: a plan is nearly
-    # free once the deltas exist, and pairs outside the grid are dropped
-    qs = sorted({q for q, _ in pairs})
-    cs = sorted({c for _, c in pairs})
+    qs = list(range(Q_MIN, Q_MAX + 1))
+    cs = list(range(C_MIN, C_MAX + 1))
+    pairs = [(q, c) for q in qs for c in cs]
     tasks = [(scan, qs, cs, scan_hz, tight_bbox) for scan in corpus]
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
@@ -151,12 +140,11 @@ def calibrate_detailed(
     else:
         per_scan = [_sweep_scan(task) for task in tasks]
 
-    # (pair, scan, stat), scans in corpus order: each pair's block is the
-    # (scan, stat) array a per-pair loop would build, so every mean below
-    # adds the same numbers in the same order as that loop's would
-    stats = np.stack(per_scan, axis=2)[
-        [qs.index(q) for q, _ in pairs], [cs.index(c) for _, c in pairs]
-    ]
+    # (q, c, scan, stat) flattened to (pair, scan, stat), scans in corpus
+    # order: each pair's block is the (scan, stat) array a per-pair loop
+    # would build, so every mean below adds the same numbers in the same
+    # order as that loop's would
+    stats = np.stack(per_scan, axis=2).reshape(len(pairs), len(corpus), 4)
     agg = stats.mean(axis=1) if aggregate == "mean" else stats.max(axis=1)
     rates = stats[:, :, 3]
     rows = [

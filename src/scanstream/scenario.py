@@ -2,21 +2,26 @@
 
 A scenario file fully determines a run: scan source, link emulation,
 controller parameters, operating rate bounds, transport knobs, duration.
-Unknown keys are rejected rather than ignored so config typos fail loudly
-instead of silently running defaults.
+Each section loads into its dataclass, whose fields are the section's keys,
+defaults and types; a few keys are renamed (`model`, `metrics`,
+`encoder.tight_bbox`, `rate_bounds.floor_q`, `link.trace`/`trace_file`).
+Unknown keys and wrong-typed values are rejected rather than ignored so
+config typos fail loudly instead of silently running defaults.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
 import yaml
 
 from .congestion import ControlParams
 from .netem import LinkConfig, read_trace
 from .predictor import ConfigFloor
-from .residual_opt import METRICS, RateBounds
+from .residual_opt import RateBounds
 from .scangen import SensorProfile
 from .transport import TransportParams
 
@@ -74,64 +79,96 @@ class Scenario:
             raise ScenarioError("baseline pacing_bps must be positive and finite")
 
 
-def _take(section: dict, allowed: set[str], where: str) -> dict:
-    if not isinstance(section, dict):
-        raise ScenarioError(f"{where} must be a mapping, got {type(section).__name__}")
-    unknown = set(section) - allowed
+def _mapping(raw, where: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{where} must be a mapping, got {type(raw).__name__}")
+    return raw
+
+
+def _reject_unknown(raw: dict, accepted, where: str) -> None:
+    unknown = raw.keys() - accepted
     if unknown:
-        raise ScenarioError(f"unknown keys in {where}: {sorted(unknown)}")
-    return section
+        raise ScenarioError(f"unknown keys in {where}: {sorted(unknown, key=str)}")
 
 
-def _build_profile(raw: dict) -> SensorProfile:
-    allowed = {
-        "rings", "azimuth_steps", "elev_min_deg", "elev_max_deg",
-        "sensor_height", "max_range", "min_range", "noise_sigma",
-    }
-    try:
-        return SensorProfile(**_take(raw, allowed, "scan_source.profile"))
-    except ValueError as e:
-        raise ScenarioError(f"scan_source.profile: {e}") from None
+def _coerce(value, kind: type, where: str):
+    """value as `kind`: a float also takes an int or a numeric string, and a bool is never a number.
 
-
-def _build_link(raw: dict, base_dir: str) -> LinkConfig:
-    allowed = {"trace", "trace_file", "prop_delay", "queue_limit", "ce_threshold", "loss_rate", "rng_seed"}
-    raw = dict(_take(raw, allowed, "link"))
-    trace = raw.pop("trace", None)
-    trace_file = raw.pop("trace_file", None)
-    if (trace is None) == (trace_file is None):
-        raise ScenarioError("link needs exactly one of 'trace' (inline) or 'trace_file'")
-    if trace_file is not None:
-        trace = read_trace(os.path.join(base_dir, trace_file))
-    else:
+    PyYAML reads `10.0e6` (no exponent sign) as a string, so a float must take one.
+    """
+    if kind is float and type(value) in (int, float, str):
         try:
-            trace = tuple((float(t), float(c)) for t, c in trace)
-        except (TypeError, ValueError):
-            raise ScenarioError("link.trace must be a list of [t_seconds, capacity_bps] pairs") from None
-    try:
-        return LinkConfig(capacity_trace=trace, **raw)
-    except ValueError as e:
-        raise ScenarioError(f"link: {e}") from None
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    elif type(value) is kind:
+        return value
+    raise ScenarioError(f"{where}: expected {kind.__name__}, got {value!r}")
 
 
-def _build_bounds(raw: dict) -> RateBounds:
-    allowed = {"r_min_bps", "r_max_bps", "floor_q", "epsilon", "metric"}
-    raw = dict(_take(raw, allowed, "rate_bounds"))
-    if "r_min_bps" not in raw or "r_max_bps" not in raw:
-        raise ScenarioError("rate_bounds needs r_min_bps and r_max_bps")
-    metric = raw.get("metric", "mean_ptp")
-    if metric not in METRICS:
-        raise ScenarioError(f"rate_bounds.metric must be one of {METRICS}, got {metric!r}")
+def _pair(value, where: str) -> tuple[float, float]:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ScenarioError(f"{where} must be a pair of numbers, got {value!r}")
+    return _coerce(value[0], float, where), _coerce(value[1], float, where)
+
+
+# resolving the annotations anew on every load would nearly double its cost
+_field_types = functools.cache(get_type_hints)
+
+
+def _build(cls, raw, where: str, **given):
+    """cls from the section `raw`, whose keys are the fields of cls not in `given`.
+
+    Keys, defaults and types come from the dataclass itself; a value must
+    have its field's type (see `_coerce`).  Any error from construction or
+    from the instance's `validate()` is raised as a ScenarioError.
+    """
+    _reject_unknown(_mapping(raw, where), {f.name for f in fields(cls)} - given.keys(), where)
+    types = _field_types(cls)
+    kwargs = {key: _coerce(value, types[key], f"{where}.{key}") for key, value in raw.items()}
     try:
-        return RateBounds(
-            r_min_bps=float(raw["r_min_bps"]),
-            r_max_bps=float(raw["r_max_bps"]),
-            floor=ConfigFloor(min_q=int(raw.get("floor_q", 8))),
-            epsilon=float(raw.get("epsilon", 0.0)) or float("nan"),
-            metric=metric,
-        )
-    except ValueError as e:
-        raise ScenarioError(f"rate_bounds: {e}") from None
+        obj = cls(**kwargs, **given)
+        if hasattr(obj, "validate"):
+            obj.validate()
+    except (TypeError, ValueError) as e:
+        raise ScenarioError(f"{where}: {e}") from None
+    return obj
+
+
+def _build_source(raw) -> ScanSourceConfig:
+    raw = _mapping(raw, "scan_source")
+    given = {"profile": _build(SensorProfile, raw.pop("profile", {}), "scan_source.profile")}
+    if "velocity" in raw:
+        given["velocity"] = _pair(raw.pop("velocity"), "scan_source.velocity")
+    return _build(ScanSourceConfig, raw, "scan_source", **given)
+
+
+def _build_link(raw, base_dir: str) -> LinkConfig:
+    raw = _mapping(raw, "link")
+    if ("trace" in raw) == ("trace_file" in raw):
+        raise ScenarioError("link needs exactly one of 'trace' (inline) or 'trace_file'")
+    if "trace_file" in raw:
+        trace_file = _coerce(raw.pop("trace_file"), str, "link.trace_file")
+        try:
+            trace = read_trace(os.path.join(base_dir, trace_file))
+        except (OSError, ValueError) as e:
+            raise ScenarioError(f"link.trace_file: {e}") from None
+    else:
+        trace = raw.pop("trace")
+        if not isinstance(trace, list):
+            raise ScenarioError("link.trace must be a list of [t_seconds, capacity_bps] pairs")
+        trace = tuple(_pair(step, "link.trace") for step in trace)
+    return _build(LinkConfig, raw, "link", capacity_trace=trace)
+
+
+def _build_bounds(raw) -> RateBounds:
+    raw = _mapping(raw, "rate_bounds")
+    floor = ConfigFloor()
+    if "floor_q" in raw:
+        floor = ConfigFloor(min_q=_coerce(raw.pop("floor_q"), int, "rate_bounds.floor_q"))
+    # no epsilon (or 0): the rates were given directly, not derived from a budget
+    epsilon = _coerce(raw.pop("epsilon", 0.0), float, "rate_bounds.epsilon") or math.nan
+    return _build(RateBounds, raw, "rate_bounds", floor=floor, epsilon=epsilon)
 
 
 def load_scenario(path) -> Scenario:
@@ -140,84 +177,36 @@ def load_scenario(path) -> Scenario:
     with open(path) as fh:
         try:
             doc = yaml.safe_load(fh)
-        except yaml.YAMLError as e:
+        except (yaml.YAMLError, ValueError) as e:  # ValueError: an integer past Python's digit limit
             raise ScenarioError(f"{path}: invalid YAML: {e}") from None
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: scenario must be a mapping")
-    if doc.get("version") != SCENARIO_VERSION:
-        raise ScenarioError(
-            f"{path}: expected version: {SCENARIO_VERSION}, got {doc.get('version')!r}"
-        )
+    version = doc.pop("version", None)
+    if type(version) is not int or version != SCENARIO_VERSION:
+        raise ScenarioError(f"{path}: expected version: {SCENARIO_VERSION}, got {version!r}")
+    for name in ("link", "rate_bounds"):
+        if name not in doc:
+            raise ScenarioError(f"{path}: missing required '{name}' section")
     base_dir = os.path.dirname(os.path.abspath(path))
-    top_allowed = {
-        "version", "scan_source", "link", "control", "rate_bounds", "transport",
-        "scan_hz", "duration", "mode", "baseline", "model", "metrics", "encoder",
+
+    # the keys left in doc after the sections and renamed keys are Scenario's own scalars
+    encoder = _mapping(doc.pop("encoder", {}), "encoder")
+    _reject_unknown(encoder, {"tight_bbox"}, "encoder")
+    given = {
+        "scan_source": _build_source(doc.pop("scan_source", {})),
+        "link": _build_link(doc.pop("link"), base_dir),
+        "control": _build(ControlParams, doc.pop("control", {}), "control"),
+        "bounds": _build_bounds(doc.pop("rate_bounds")),
+        "transport": _build(TransportParams, doc.pop("transport", {}), "transport"),
+        "baseline": _build(BaselineConfig, doc.pop("baseline", {}), "baseline"),
+        "model_path": Scenario.model_path,
+        "metrics_path": Scenario.metrics_path,
+        "tight_bbox": Scenario.tight_bbox,
     }
-    _take(doc, top_allowed, "scenario")
-
-    src_raw = dict(_take(doc.get("scan_source", {}), {"profile", "seed", "velocity"}, "scan_source"))
-    profile = _build_profile(src_raw.get("profile", {}))
-    velocity = src_raw.get("velocity", (1.0, 0.3))
-    try:
-        velocity = (float(velocity[0]), float(velocity[1]))
-    except (TypeError, ValueError, IndexError):
-        raise ScenarioError("scan_source.velocity must be [vx, vy]") from None
-    source = ScanSourceConfig(profile=profile, seed=int(src_raw.get("seed", 0)), velocity=velocity)
-
-    if "link" not in doc:
-        raise ScenarioError(f"{path}: missing required 'link' section")
-    link = _build_link(doc["link"], base_dir)
-
-    ctrl_allowed = {
-        "overshoot_factor", "loss_beta", "ce_beta", "queue_delay_target",
-        "increase_gain", "srtt_alpha", "w_min", "w_max", "mss", "owd_window",
-    }
-    try:
-        control = ControlParams(**_take(doc.get("control", {}), ctrl_allowed, "control"))
-        control.validate()
-    except ValueError as e:
-        raise ScenarioError(f"control: {e}") from None
-
-    if "rate_bounds" not in doc:
-        raise ScenarioError(f"{path}: missing required 'rate_bounds' section")
-    bounds = _build_bounds(doc["rate_bounds"])
-
-    tp_allowed = {
-        "mtu_payload", "sender_queue_cap", "pacing_headroom",
-        "feedback_interval", "feedback_every_packets",
-    }
-    try:
-        transport = TransportParams(**_take(doc.get("transport", {}), tp_allowed, "transport"))
-        transport.validate()
-    except ValueError as e:
-        raise ScenarioError(f"transport: {e}") from None
-
-    base_raw = _take(doc.get("baseline", {}), {"q", "c", "pacing_bps"}, "baseline")
-    baseline = BaselineConfig(
-        q=int(base_raw.get("q", 16)),
-        c=int(base_raw.get("c", 0)),
-        pacing_bps=float(base_raw.get("pacing_bps", 3.5e6)),
-    )
-
-    enc_raw = _take(doc.get("encoder", {}), {"tight_bbox"}, "encoder")
-
-    model_path = doc.get("model")
-    if model_path is not None:
-        model_path = os.path.join(base_dir, str(model_path))
-
-    scenario = Scenario(
-        scan_source=source,
-        link=link,
-        control=control,
-        bounds=bounds,
-        transport=transport,
-        scan_hz=float(doc.get("scan_hz", 10.0)),
-        duration=float(doc.get("duration", 60.0)),
-        mode=str(doc.get("mode", "adaptive")),
-        baseline=baseline,
-        model_path=model_path,
-        metrics_path=doc.get("metrics"),
-        tight_bbox=bool(enc_raw.get("tight_bbox", False)),
-    )
-    scenario.validate()
-    return scenario
+    if "model" in doc:
+        given["model_path"] = os.path.join(base_dir, _coerce(doc.pop("model"), str, "model"))
+    if "metrics" in doc:
+        given["metrics_path"] = _coerce(doc.pop("metrics"), str, "metrics")
+    if "tight_bbox" in encoder:
+        given["tight_bbox"] = _coerce(encoder["tight_bbox"], bool, "encoder.tight_bbox")
+    return _build(Scenario, doc, "scenario", **given)

@@ -86,7 +86,6 @@ class DatagramSender:
         params.validate()
         self.params = params
         self.queue: deque[tuple[int, int]] = deque()  # (scan id, unit bytes)
-        self.drop_log: list[int] = []  # ids of the scans dropped from the queue, in order
         self.next_seq = 1  # seq 0 is reserved for "nothing acked yet"
         self.sent_packets = 0
         self.sent_wire_bytes = 0
@@ -100,13 +99,18 @@ class DatagramSender:
 
     # ------------------------------------------------------------- queueing
 
-    def enqueue_unit(self, scan_id: int, nbytes: int) -> None:
-        """Append a unit of nbytes, header included; beyond the cap the oldest is dropped."""
+    def enqueue_unit(self, scan_id: int, nbytes: int) -> int | None:
+        """Append a unit of nbytes, header included; beyond the cap the oldest is dropped.
+
+        Returns the id of the scan dropped, or None.
+        """
         if nbytes < 1:
             raise ValueError(f"a unit needs at least one byte, got {nbytes}")
+        dropped = None
         if len(self.queue) >= self.params.sender_queue_cap:
-            self.drop_log.append(self.queue.popleft()[0])
+            dropped = self.queue.popleft()[0]
         self.queue.append((scan_id, nbytes))
+        return dropped
 
     @property
     def queue_depth(self) -> int:

@@ -112,6 +112,28 @@ def test_baseline_fixes_encoder_knobs(scenario_path, tmp_path, capsys):
     assert all(row.q_used == 12 and row.c_used == 2 for row in rows)
 
 
+@pytest.mark.parametrize("flags, knobs", [([], (12, 2)), (["--c", "5"], (12, 5))])
+def test_baseline_takes_unflagged_knobs_from_the_scenario(cal_dir, tmp_path, flags, knobs):
+    doc = yaml.safe_load((cal_dir / "scn.yaml").read_text())
+    doc["baseline"] = {"q": 12, "c": 2}
+    path = cal_dir / f"scn-baseline-{len(flags)}.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    rc = cli(["baseline", "--scenario", str(path), *flags,
+              "--duration", "2", "--out", str(tmp_path / "b.csv")])
+    assert rc == 0
+    rows = read_metrics(tmp_path / "b.csv")
+    assert all((row.q_used, row.c_used) == knobs for row in rows)
+
+
+def test_run_rejects_a_wrong_typed_value(scenario_path, capsys):
+    doc = yaml.safe_load(scenario_path.read_text())
+    doc["control"] = {"mss": "abc"}
+    path = scenario_path.with_name("scn-typed.yaml")
+    path.write_text(yaml.safe_dump(doc))
+    assert cli(["run", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: control.mss: ")
+
+
 def test_missing_required_option_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli(["calibrate"])  # --out-table is required

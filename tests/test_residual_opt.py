@@ -5,7 +5,7 @@ import pytest
 
 from scanstream import bitpack, codec
 from scanstream.codec import C_MAX, C_MIN, Q_MAX, Q_MIN
-from scanstream.predictor import ConfigGrid, fit
+from scanstream.predictor import fit
 from scanstream.residual_opt import (
     AGGREGATES,
     METRICS,
@@ -102,23 +102,6 @@ def test_table_aggregates_as_a_per_pair_loop():
                 row = table.row(q, c)
                 assert (row.mean_ptp, row.max_ptp, row.l2_norm) == tuple(agg[:3])
                 assert row.measured_bps == stats[:, 3].mean()
-
-
-def test_sparse_grid_sweeps_only_its_pairs():
-    corpus = generate_corpus(SMALL, seed=5, n_scans=3)
-    full_table, full_samples = calibrate_detailed(corpus, scan_hz=10.0)
-    pairs = [(9, 0), (9, 9), (17, 4), (24, 9)]
-    qs, cs = zip(*pairs)
-    grid = ConfigGrid(  # a grid names 170 entries; repeats leave four pairs
-        n_points=SMALL.n_points,
-        qs=np.resize(qs, 170),
-        cs=np.resize(cs, 170),
-        predicted_bps=np.ones(170),
-    )
-    for n_jobs in (1, 2):
-        table, samples = calibrate_detailed(corpus, grid=grid, scan_hz=10.0, n_jobs=n_jobs)
-        assert table.rows == [full_table.row(q, c) for q, c in pairs]
-        assert samples == [s for s in full_samples if (s.q, s.c) in pairs]
 
 
 def test_sweep_sorts_each_scan_once_and_packs_nothing(monkeypatch):

@@ -1,17 +1,21 @@
 """Scenario YAML loading: schema enforcement, defaults, path resolution."""
 
+import copy
 import dataclasses
 import math
+import re
+import typing
 
 import pytest
 import yaml
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scanstream.congestion import ControlParams
 from scanstream.netem import LinkConfig
 from scanstream.predictor import ConfigFloor
 from scanstream.residual_opt import RateBounds
+from scanstream.scangen import SensorProfile
 from scanstream.scenario import (
     MODES,
     SCENARIO_VERSION,
@@ -312,3 +316,119 @@ def test_non_finite_parameter_rejected(kind, name, value):
     build_params(kind)  # the defaults are valid
     with pytest.raises(ScenarioError if kind is Scenario else ValueError):
         build_params(kind, **{name: value})
+
+
+def _not_a_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+def _wrong_values(kind):
+    """One strategy per type of value, as YAML can write it, that is not a `kind`."""
+    if kind is dict:
+        return [st.none(), st.integers(), st.text(max_size=8), st.lists(st.integers(), max_size=3)]
+    values = [
+        st.none(),
+        st.lists(st.integers(), max_size=3),
+        st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    ]
+    if kind is int:
+        return values + [st.booleans(), st.floats(), st.text(max_size=8)]
+    if kind is float:
+        return values + [st.booleans(), st.text(max_size=8).filter(_not_a_number)]
+    if kind is bool:
+        return values + [st.integers(), st.floats(), st.text(max_size=8)]
+    return values + [st.booleans(), st.integers(), st.floats()]  # str
+
+
+SECTIONS = [
+    (("scan_source", "profile"), SensorProfile),
+    (("control",), ControlParams),
+    (("transport",), TransportParams),
+    (("link",), LinkConfig),
+    (("baseline",), BaselineConfig),
+]
+TYPED_KEYS = (
+    [(where + (name,), kind)
+     for where, cls in SECTIONS
+     for name, kind in typing.get_type_hints(cls).items() if name != "capacity_trace"]
+    + [((key,), kind) for key, kind in (
+        ("version", int), ("scan_hz", float), ("duration", float), ("mode", str),
+        ("model", str), ("metrics", str), ("scan_source", dict), ("link", dict),
+        ("control", dict), ("rate_bounds", dict), ("transport", dict), ("baseline", dict),
+        ("encoder", dict),
+    )]
+    + [(("rate_bounds", key), kind) for key, kind in (
+        ("r_min_bps", float), ("r_max_bps", float), ("floor_q", int), ("epsilon", float),
+        ("metric", str),
+    )]
+    + [(("scan_source", "seed"), int), (("scan_source", "profile"), dict),
+       (("encoder", "tight_bbox"), bool), (("link", "trace_file"), str)]
+)
+
+
+@pytest.fixture(scope="module")
+def typed_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("typed")
+
+
+@pytest.mark.parametrize("keys, kind", TYPED_KEYS,
+                         ids=[".".join(keys) for keys, _ in TYPED_KEYS])
+@settings(max_examples=3)
+@given(data=st.data())
+def test_wrong_typed_value_raises_scenario_error_naming_the_key(typed_dir, keys, kind, data):
+    name = re.escape(".".join(keys[-2:]))
+    for wrong in _wrong_values(kind):
+        doc = copy.deepcopy(MINIMAL)
+        if keys == ("link", "trace_file"):
+            del doc["link"]["trace"]
+        section = doc
+        for key in keys[:-1]:
+            section = section.setdefault(key, {})
+        section[keys[-1]] = data.draw(wrong)
+        with pytest.raises(ScenarioError, match=name):
+            load_scenario(write_scenario(typed_dir, doc))
+
+
+@pytest.mark.parametrize("velocity", ["fast", 1.0, [1.0], [1.0, 2.0, 3.0], [1.0, "x"], [True, 0.0]])
+def test_velocity_must_be_a_pair_of_numbers(tmp_path, velocity):
+    doc = dict(MINIMAL, scan_source=dict(MINIMAL["scan_source"], velocity=velocity))
+    with pytest.raises(ScenarioError, match="scan_source.velocity"):
+        load_scenario(write_scenario(tmp_path, doc))
+
+
+@pytest.mark.parametrize("trace", [5.0e6, [5.0e6], [[0.0]], [[0.0, "fast"]], [[0.0, None]]])
+def test_inline_trace_must_be_a_list_of_pairs(tmp_path, trace):
+    doc = dict(MINIMAL, link={"trace": trace})
+    with pytest.raises(ScenarioError, match="link.trace"):
+        load_scenario(write_scenario(tmp_path, doc))
+
+
+def test_numeric_strings_load_as_floats(tmp_path):
+    # PyYAML reads 10.0e6 (no exponent sign) as a string
+    path = tmp_path / "scn.yaml"
+    path.write_text(
+        "version: 1\n"
+        "link: {trace: [[0.0, 10.0e6], [30.0, 3.0e6]], prop_delay: 2.0e-2}\n"
+        "rate_bounds: {r_min_bps: 2.0e6, r_max_bps: 10.0e6}\n"
+        "baseline: {pacing_bps: 3.2e6}\n"
+        "control: {w_min: 4000}\n"
+    )
+    scn = load_scenario(path)
+    assert scn.link.capacity_trace == ((0.0, 10.0e6), (30.0, 3.0e6))
+    assert scn.bounds.r_max_bps == 10.0e6
+    assert scn.baseline.pacing_bps == 3.2e6
+    assert scn.control.w_min == 4000.0 and type(scn.control.w_min) is float
+
+
+def test_missing_or_unreadable_trace_file_raises_scenario_error(tmp_path):
+    doc = dict(MINIMAL, link={"trace_file": "absent.csv"})
+    with pytest.raises(ScenarioError, match="link.trace_file"):
+        load_scenario(write_scenario(tmp_path, doc))
+    (tmp_path / "bad.csv").write_text("t,capacity_bps\n0.0,fast\n")
+    doc = dict(MINIMAL, link={"trace_file": "bad.csv"})
+    with pytest.raises(ScenarioError, match="link.trace_file"):
+        load_scenario(write_scenario(tmp_path, doc))

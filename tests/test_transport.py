@@ -84,9 +84,8 @@ def test_enqueue_rejects_an_empty_unit():
 def test_drop_oldest_beyond_cap():
     params = TransportParams(sender_queue_cap=3)
     sender = DatagramSender(params)
-    for sid in range(5):
-        sender.enqueue_unit(sid, SMALL_UNIT)
-    assert sender.drop_log == [0, 1]
+    dropped = [sender.enqueue_unit(sid, SMALL_UNIT) for sid in range(5)]
+    assert dropped == [None, None, None, 0, 1]
     assert sender.queue_depth == 3
 
 
