@@ -82,8 +82,7 @@ class CongestionState:
     prev_lost_packets: int = 0
     prev_highest_seq: int = -1
     prev_echo: float = 0.0
-    # one-way delay history: (time, owd) samples plus a monotonic min deque
-    _owd: deque = field(default_factory=deque, repr=False)
+    # (time, owd) samples, increasing in owd: the front is the window's minimum
     _owd_min: deque = field(default_factory=deque, repr=False)
 
 
@@ -139,13 +138,10 @@ def can_send(
 def _record_owd(state: CongestionState, params: ControlParams, now: float, owd: float) -> None:
     # queue delay estimate = OWD minus its running min over a sliding window;
     # the min deque keeps the front as the window minimum in O(1) amortized
-    state._owd.append((now, owd))
     while state._owd_min and state._owd_min[-1][1] >= owd:
         state._owd_min.pop()
     state._owd_min.append((now, owd))
     horizon = now - params.owd_window
-    while state._owd and state._owd[0][0] < horizon:
-        state._owd.popleft()
     while state._owd_min and state._owd_min[0][0] < horizon:
         state._owd_min.popleft()
     state.est_queue_delay = max(owd - state._owd_min[0][1], 0.0)

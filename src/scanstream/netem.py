@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transport import ECT1, CE, Packet, packet_wire_size
+from .transport import ECT1, CE, PACKET_HEADER_BYTES, Packet
 
 
 class TraceError(ValueError):
@@ -76,6 +76,11 @@ class BottleneckLink:
 
     def __init__(self, config: LinkConfig):
         self.config = config
+        # read per packet: plain attributes, not a lookup through config
+        self.prop_delay = config.prop_delay
+        self.queue_limit = config.queue_limit
+        self.ce_threshold = config.ce_threshold
+        self.loss_rate = config.loss_rate
         self.ledger = LinkLedger()
         self._rng = np.random.default_rng(config.rng_seed)
         self._trace_times = [t for t, _ in config.capacity_trace]
@@ -114,28 +119,29 @@ class BottleneckLink:
         The returned packet is the one to deliver: it carries a CE mark when
         its queuing delay exceeded the threshold and it arrived ECT(1).
         """
-        wire = packet_wire_size(pkt)
-        self.ledger.offered += 1
-        if self.config.loss_rate > 0.0 and self._rng.random() < self.config.loss_rate:
-            self.ledger.random_lost += 1
+        wire = PACKET_HEADER_BYTES + pkt.payload_len
+        ledger = self.ledger
+        ledger.offered += 1
+        if self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
+            ledger.random_lost += 1
             return None
         buffer = self._buffer
         while buffer and buffer[0][0] <= now:  # drop what finished serializing
             self._buffer_bytes -= buffer.popleft()[1]
-        if self._buffer_bytes + wire > self.config.queue_limit:
-            self.ledger.tail_dropped += 1
+        if self._buffer_bytes + wire > self.queue_limit:
+            ledger.tail_dropped += 1
             return None
-        self.ledger.accepted += 1
+        ledger.accepted += 1
         start = max(now, self._busy_until)
         end = self._serialize_end(start, wire * 8.0)
         self._busy_until = end
         buffer.append((end, wire))
         self._buffer_bytes += wire
         queue_delay = start - now
-        if queue_delay > self.config.ce_threshold and pkt.ecn == ECT1:
+        if queue_delay > self.ce_threshold and pkt.ecn == ECT1:
             pkt.ecn = CE
-            self.ledger.ce_marked += 1
-        return pkt, end + self.config.prop_delay
+            ledger.ce_marked += 1
+        return pkt, end + self.prop_delay
 
     # ------------------------------------------------------------ observers
 

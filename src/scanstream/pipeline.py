@@ -14,6 +14,11 @@ clock plus that delay and the clock never goes back.  The scan, metrics
 tick, feedback timer and one pace wake sit in a heap of a few entries.
 The loop takes the smallest of the three heads: one heap's order.
 
+A pace wake sends every packet due before the earliest of the heap's head,
+the feedback deque's head, now + prop_delay (an arrival's report is due no
+sooner) and the run's end.  Nothing else touches the sender or the link till
+then, so the train enters the link in send order as one wake per packet would.
+
 Nothing downstream of the encoder reads a unit's bytes, only their count,
 so each scan is sized by `measure`, never packed, and the transport carries
 byte counts.  The scan's reconstruction error comes from the same quantized
@@ -41,7 +46,7 @@ from .netem import BottleneckLink
 from .predictor import RateModel, build_grid, load_model, select_from_grid
 from .scangen import ScanGenerator
 from .scenario import Scenario
-from .transport import DatagramReceiver, DatagramSender, Packet
+from .transport import DatagramReceiver, DatagramSender, Packet, packet_wire_size
 
 # Event priorities at equal timestamps. Deliveries and feedback settle before
 # the encoder picks a config for that instant; metrics snapshots run last so
@@ -163,6 +168,7 @@ class _Runner:
         self._counter = 0
         self._next_pace: float | None = None  # time of the one pending pace event
         self.now = 0.0
+        self._end = scenario.duration + 1e-9  # no event after this is handled
 
         self.pending_ptp: dict[int, float] = {}  # scan id -> mean_ptp, until delivered or lost
         self.rows: list[MetricsRow] = []
@@ -193,7 +199,8 @@ class _Runner:
         timer, a cwnd block by feedback, an idle sender by the next scan.
         The sender's next send time moves only when a packet leaves, and
         no packet leaves before it, so an armed wake is never early and
-        never superseded: at most one pace event is in the heap.
+        never superseded: at most one pace event is in the heap.  A wake
+        sends a train (see the module docstring) and arms the next past it.
         """
         if self._next_pace is None:
             self._next_pace = self.sender.next_send_opportunity(self.now)
@@ -201,25 +208,27 @@ class _Runner:
 
     # -------------------------------------------------------------- handlers
 
-    def _pace(self) -> None:
-        now = self.now
-        cc = self.cc
-        if cc is None:
-            packets = self.sender.pace_and_send(None, None, self.sc.baseline.pacing_bps, now)
-        else:
-            packets = self.sender.pace_and_send(cc, self.ccp, cc.r_trg, now)
-            if packets:  # in-flight bytes only grow within one call: the last send is the peak
-                cap = self.ccp.overshoot_factor * cc.w_ref
-                frac = cc.bytes_in_flight / cap
-                if frac > self.summary.max_bif_fraction:
-                    self.summary.max_bif_fraction = frac
-                if cc.bytes_in_flight > cap * (1.0 + 1e-9):
-                    raise RunError(
-                        f"in-flight bytes {cc.bytes_in_flight} exceed "
-                        f"{self.ccp.overshoot_factor} x w_ref {cc.w_ref} at t={now:.6f}"
-                    )
+    def _pace(self, until: float) -> None:
+        cc = self.cc  # None in baseline mode: no window gate, a fixed rate
+        rate = self.sc.baseline.pacing_bps if cc is None else cc.r_trg
+        packets = self.sender.pace_and_send(cc, self.ccp, rate, self.now, until)
+        if packets and cc is not None:  # in-flight bytes only grow within one call
+            cap = self.ccp.overshoot_factor * cc.w_ref
+            frac = cc.bytes_in_flight / cap  # the last send is the peak
+            if frac > self.summary.max_bif_fraction:
+                self.summary.max_bif_fraction = frac
+            if cc.bytes_in_flight > cap * (1.0 + 1e-9):
+                bif = cc.bytes_in_flight - sum(map(packet_wire_size, packets))
+                for pkt in packets:  # name the packet that broke the bound
+                    bif += packet_wire_size(pkt)
+                    if bif > cap * (1.0 + 1e-9):
+                        break
+                raise RunError(
+                    f"in-flight bytes {bif} exceed "
+                    f"{self.ccp.overshoot_factor} x w_ref {cc.w_ref} at t={pkt.send_time:.6f}"
+                )
         for pkt in packets:
-            slot = self.link.enqueue(pkt, now)
+            slot = self.link.enqueue(pkt, pkt.send_time)
             if slot is not None:
                 self._arrivals.append((slot[1], _ARRIVAL, self._counter, self._on_arrival, slot[0]))
                 self._counter += 1
@@ -228,7 +237,11 @@ class _Runner:
 
     def _on_pace(self, _payload) -> None:
         self._next_pace = None
-        self._pace()
+        until = min(self.now + self.link.prop_delay, self._end)
+        for queue in (self._heap, self._feedback):
+            if queue and queue[0][0] < until:
+                until = queue[0][0]
+        self._pace(until)
 
     def _on_scan(self, k: int) -> None:
         t = self.now
@@ -252,7 +265,7 @@ class _Runner:
             self.pending_ptp.pop(dropped, None)
             self.summary.scans_dropped_sender += 1
         if self.sender.blocked_reason == "idle":  # a blocked sender has its own waker
-            self._pace()
+            self._pace(t)
         if self.adaptive:
             r_cmd = min(self.cc.r_trg, self.r_ceiling)
             self._rate_err_sum += abs(bits * self.sc.scan_hz - r_cmd) / r_cmd
@@ -290,7 +303,7 @@ class _Runner:
         """
         report = self.receiver.make_feedback(self.now)
         self.summary.feedback_reports += 1
-        self._feedback.append((self.now + self.sc.link.prop_delay, _FEEDBACK, self._counter,
+        self._feedback.append((self.now + self.link.prop_delay, _FEEDBACK, self._counter,
                                self._on_feedback, report))
         self._counter += 1
 
@@ -306,7 +319,7 @@ class _Runner:
                 f"r_trg {self.cc.r_trg} left [{self.cc.r_min}, {self.cc.r_max}] at t={self.now:.6f}"
             )
         if self.sender.blocked_reason == "cwnd":
-            self._pace()
+            self._pace(self.now)
 
     def _on_fb_timer(self, _payload) -> None:
         self._emit_feedback()
@@ -369,7 +382,7 @@ class _Runner:
 
         heap, arrivals, feedback = self._heap, self._arrivals, self._feedback
         heappop = heapq.heappop
-        end = self.sc.duration + 1e-9
+        end = self._end
         idle = (float("inf"),)
         while True:
             event = heap[0] if heap else idle

@@ -59,6 +59,10 @@ class ConfigFloor:
 
     min_q: int = Q_MIN
 
+    def validate(self) -> None:
+        if not (Q_MIN <= self.min_q <= Q_MAX):
+            raise ValueError(f"min_q must be in [{Q_MIN}, {Q_MAX}], got {self.min_q}")
+
 
 @dataclass
 class RateModel:

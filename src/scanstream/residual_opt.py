@@ -76,9 +76,9 @@ class RateBounds:
     metric: str = "mean_ptp"
 
     def __post_init__(self) -> None:
-        if not (0 < self.r_min_bps <= self.r_max_bps):
+        if not (0 < self.r_min_bps <= self.r_max_bps < np.inf):
             raise ValueError(
-                f"need 0 < r_min <= r_max, got ({self.r_min_bps}, {self.r_max_bps})"
+                f"need 0 < r_min <= r_max < inf, got ({self.r_min_bps}, {self.r_max_bps})"
             )
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}, got {self.metric!r}")

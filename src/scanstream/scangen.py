@@ -13,7 +13,7 @@ pattern of t, so no call order or history affects any scan.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,6 +32,8 @@ class SensorProfile:
     noise_sigma: float = 0.01
 
     def __post_init__(self) -> None:
+        if not all(np.isfinite(getattr(self, f.name)) for f in fields(self)):
+            raise ValueError(f"every field must be finite, got {self}")
         if self.rings < 1 or self.azimuth_steps < 1:
             raise ValueError("rings and azimuth_steps must be >= 1")
         if self.elev_min_deg >= self.elev_max_deg:

@@ -18,6 +18,7 @@ from typing import get_type_hints
 
 import yaml
 
+from .codec import CompressionConfig
 from .congestion import ControlParams
 from .netem import LinkConfig, read_trace
 from .predictor import ConfigFloor
@@ -47,6 +48,9 @@ class BaselineConfig:
     q: int = 16
     c: int = 0
     pacing_bps: float = 3.5e6
+
+    def validate(self) -> None:
+        CompressionConfig(self.q, self.c).validate()
 
 
 @dataclass
@@ -163,9 +167,8 @@ def _build_link(raw, base_dir: str) -> LinkConfig:
 
 def _build_bounds(raw) -> RateBounds:
     raw = _mapping(raw, "rate_bounds")
-    floor = ConfigFloor()
-    if "floor_q" in raw:
-        floor = ConfigFloor(min_q=_coerce(raw.pop("floor_q"), int, "rate_bounds.floor_q"))
+    floor = _build(ConfigFloor, {"min_q": raw.pop("floor_q")} if "floor_q" in raw else {},
+                   "rate_bounds.floor_q")
     # no epsilon (or 0): the rates were given directly, not derived from a budget
     epsilon = _coerce(raw.pop("epsilon", 0.0), float, "rate_bounds.epsilon") or math.nan
     return _build(RateBounds, raw, "rate_bounds", floor=floor, epsilon=epsilon)

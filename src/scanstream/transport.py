@@ -124,14 +124,16 @@ class DatagramSender:
         cc_params: ControlParams | None,
         pacing_rate: float,
         now: float,
+        until: float,
     ) -> list[Packet]:
-        """Emit every packet the window gate and the pacer allow at `now`.
+        """Emit every packet the window gate and the pacer allow from `now` to before `until`.
 
-        A packet may leave once `now` reaches the next-send time; each send
-        moves that time on by the packet's wire bytes at headroom x
-        pacing_rate, counted from the send or from the old next-send time,
-        whichever is later.  An idle sender thus earns no burst credit, and
-        each gap is set by the rate in force when its packet left.
+        A packet may leave once the clock reaches the next-send time, and the
+        clock steps from `now` to each next-send time before `until`, up to
+        which the caller holds the window and the rate fixed.  Each send sets
+        the next-send time one packet's wire bytes at headroom x pacing_rate
+        after the send, so an idle sender earns no burst credit, and each
+        gap is set by the rate in force when its packet left.
         cc_state None disables the congestion window gate and the in-flight
         ledger entirely (fixed-rate baseline operation: no feedback ever
         settles a seq); pacing still applies.
@@ -159,8 +161,10 @@ class DatagramSender:
                 self.blocked_reason = "cwnd"
                 break
             if now < self._next_send:
-                self.blocked_reason = "pacing"
-                break
+                if self._next_send >= until:
+                    self.blocked_reason = "pacing"
+                    break
+                now = self._next_send
             seq = self.next_seq
             # seq, scan_id, frag_index, frag_count, send_time, ecn, payload_len
             out.append(Packet(seq, frame.scan_id, frame.next_index, frame.frag_count,
@@ -168,7 +172,7 @@ class DatagramSender:
             self.next_seq = seq + 1
             self.sent_packets += 1
             self.sent_wire_bytes += wire
-            self._next_send = max(self._next_send, now) + wire / rate_bytes
+            self._next_send = now + wire / rate_bytes
             if cc_state is not None:
                 self._inflight.append((seq, wire))
                 cc_state.bytes_in_flight += wire
@@ -241,7 +245,7 @@ class DatagramReceiver:
             return None
         self.cumulative_lost_packets += pkt.seq - self.highest_seq - 1
         self.highest_seq = pkt.seq
-        wire = packet_wire_size(pkt)
+        wire = PACKET_HEADER_BYTES + pkt.payload_len
         self.cumulative_acked_bytes += wire
         if pkt.ecn == CE:
             self.cumulative_ce_bytes += wire

@@ -26,7 +26,7 @@ from scanstream.predictor import build_grid
 from scanstream.residual_opt import calibrate_detailed
 from scanstream.scangen import generate_corpus
 from scanstream.scenario import BaselineConfig, ScanSourceConfig, Scenario
-from scanstream.transport import DatagramReceiver, TransportParams
+from scanstream.transport import DatagramReceiver, DatagramSender, TransportParams
 
 
 def make_scenario(bounds, duration=20.0, mode="adaptive", capacity=20.0e6,
@@ -190,9 +190,42 @@ def test_pacing_work_per_packet(name, fixture, limit, request):
     result = request.getfixturevalue(fixture)
     probe = PACE_PROBES[name]
     assert probe.pace_calls <= limit * result.summary.packets_sent
+    # one wake sends every packet due before the sender's next input
+    assert len(probe.wake_instants) <= 0.6 * result.summary.packets_sent
     # no two pace events at one simulated instant
     assert probe.wake_instants
     assert len(set(probe.wake_instants)) == len(probe.wake_instants)
+
+
+def test_overshoot_error_names_the_packet_that_broke_the_bound(bounds, model, monkeypatch):
+    # With the window gate open the sender overshoots in its first long
+    # train.  In-flight bytes only grow within a train, so the error must
+    # name the first packet past overshoot x w_ref, not the wake or the last.
+    monkeypatch.setattr(transport, "can_send", lambda *args: True)
+    scenario = make_scenario(bounds, duration=1.0)
+    # no report for 0.6 s and a timer every 0.1 s: trains of a few dozen packets
+    scenario.link = dataclasses.replace(scenario.link, prop_delay=0.3)
+    scenario.transport = dataclasses.replace(scenario.transport, feedback_interval=0.1)
+    trains = []
+    pace_and_send = DatagramSender.pace_and_send
+
+    def recorded(self, cc, ccp, rate, now, until):
+        before = cc.bytes_in_flight
+        packets = pace_and_send(self, cc, ccp, rate, now, until)
+        trains.append((now, before, packets, ccp.overshoot_factor * cc.w_ref))
+        return packets
+
+    monkeypatch.setattr(DatagramSender, "pace_and_send", recorded)
+    with pytest.raises(RunError, match="in-flight bytes") as err:
+        run_scenario(scenario, model=model)
+    wake, bif, packets, cap = trains[-1]
+    for crossing in packets:
+        bif += transport.packet_wire_size(crossing)
+        if bif > cap:
+            break
+    assert packets[0].send_time == wake < crossing.send_time < packets[-1].send_time
+    assert str(err.value).startswith(f"in-flight bytes {bif} exceed")
+    assert str(err.value).endswith(f"at t={crossing.send_time:.6f}")
 
 
 def test_feedback_path_adds_prop_delay(bounds, model, monkeypatch):

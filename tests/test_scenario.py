@@ -213,6 +213,30 @@ def test_non_finite_trace_raises_at_load(tmp_path):
         load_scenario(write_scenario(tmp_path, from_file))
 
 
+OUT_OF_RANGE_CASES = [
+    # each loaded, and either ran or failed mid-run, before its section checked it
+    (("scan_source", "profile"), "noise_sigma", math.nan, "finite"),
+    (("scan_source", "profile"), "sensor_height", math.nan, "finite"),
+    (("rate_bounds",), "floor_q", 30, "min_q"),
+    (("rate_bounds",), "floor_q", 0, "min_q"),
+    (("rate_bounds",), "r_max_bps", math.inf, "r_max"),
+    (("baseline",), "q", 30, "q must"),
+    (("baseline",), "c", 10, "c must"),
+]
+
+
+@pytest.mark.parametrize("where, key, value, says", OUT_OF_RANGE_CASES,
+                         ids=[f"{'.'.join(w)}.{k}={v}" for w, k, v, _ in OUT_OF_RANGE_CASES])
+def test_out_of_range_value_raises_at_load_naming_its_section(tmp_path, where, key, value, says):
+    doc = copy.deepcopy(MINIMAL)
+    section = doc
+    for name in where:
+        section = section.setdefault(name, {})
+    section[key] = value
+    with pytest.raises(ScenarioError, match=rf"^{re.escape('.'.join(where))}\b.*{says}"):
+        load_scenario(write_scenario(tmp_path, doc))
+
+
 def test_rate_bounds_requires_both_rates(tmp_path):
     doc = dict(MINIMAL, rate_bounds={"r_min_bps": 1e6})
     with pytest.raises(ScenarioError, match="r_max_bps"):

@@ -29,7 +29,7 @@ def drain(sender, pacing_rate, now=0.0, cc=None, ccp=None, horizon=30.0):
     """Pump pace_and_send until the sender runs dry; returns (t, packet) list."""
     sent = []
     while now < horizon:
-        for pkt in sender.pace_and_send(cc, ccp, pacing_rate, now):
+        for pkt in sender.pace_and_send(cc, ccp, pacing_rate, now, now):
             sent.append((now, pkt))
         if sender.blocked_reason == "idle" and sender.queue_depth == 0:
             break
@@ -147,19 +147,32 @@ def test_sub_packet_budget_still_makes_progress():
 
 def test_sender_blocked_reason_transitions():
     sender = DatagramSender(TransportParams())
-    assert sender.pace_and_send(None, None, 1e6, 0.0) == []
+    assert sender.pace_and_send(None, None, 1e6, 0.0, 0.0) == []
     assert sender.blocked_reason == "idle"
     assert sender.next_send_opportunity(0.0) is None
     sender.enqueue_unit(0, BIGGER_UNIT)
-    sender.pace_and_send(None, None, 1e6, 0.0)
+    sender.pace_and_send(None, None, 1e6, 0.0, 0.0)
     assert sender.blocked_reason == "pacing"
     assert sender.next_send_opportunity(0.0) > 0.0
+
+
+def test_train_sends_what_one_call_per_send_time_sends():
+    # the clock steps to each next-send time strictly before `until`
+    one_per_call, train = DatagramSender(PARAMS), DatagramSender(PARAMS)
+    for sender in (one_per_call, train):
+        sender.enqueue_unit(0, BIG_UNIT)
+    sent = drain(one_per_call, 2e6)
+    until = sent[10][0]
+    assert train.pace_and_send(None, None, 2e6, 0.0, until) == [p for _, p in sent[:10]]
+    assert [p.send_time for _, p in sent] == [t for t, _ in sent]
+    assert train.blocked_reason == "pacing"
+    assert train.next_send_opportunity(0.0) == until
 
 
 def test_pacing_rate_must_be_positive():
     sender = DatagramSender(TransportParams())
     with pytest.raises(ValueError):
-        sender.pace_and_send(None, None, 0.0, 0.0)
+        sender.pace_and_send(None, None, 0.0, 0.0, 0.0)
 
 
 # ------------------------------------------------------------- window gate
@@ -171,7 +184,7 @@ def test_cwnd_blocks_first_fragment_at_plain_window():
     cc.w_ref = 1000.0  # below one full packet
     sender = DatagramSender(TransportParams())
     sender.enqueue_unit(0, BIGGER_UNIT)
-    assert sender.pace_and_send(cc, ccp, 10e6, 0.0) == []
+    assert sender.pace_and_send(cc, ccp, 10e6, 0.0, 0.0) == []
     assert sender.blocked_reason == "cwnd"
     assert sender.next_send_opportunity(0.0) is None  # cleared by feedback, not timers
 
