@@ -32,8 +32,9 @@ _COMPACT = (
     (16, 0x1F00000000FFFF),
     (32, 0x1FFFFF),
 )
-# bits 0-2 of a value spread to bits 0, 3, 6: the top axis bits at q >= WIDE_Q
-_SPREAD_TOP = np.array([(v & 1) | (v & 2) << 2 | (v & 4) << 4 for v in range(8)], dtype=_U64)
+# x | y << 3 | z << 6 of the top axis bits at q >= WIDE_Q -> code bits 63-71
+_SPREAD_TOP = np.array([sum((v >> (3 * a + j) & 1) << (3 * j + a) for a in range(3) for j in range(3))
+                        for v in range(512)], dtype=_U64)
 
 
 def row_bits(q: int) -> int:
@@ -95,8 +96,8 @@ def morton_encode(cells: np.ndarray, q: int) -> tuple[np.ndarray | None, np.ndar
     lo = spread[0] | (spread[1] << _U64(1)) | (spread[2] << _U64(2))
     if q < WIDE_Q:
         return None, lo
-    top = _SPREAD_TOP[cells >> _U64(21)]
-    top = top[0] | (top[1] << _U64(1)) | (top[2] << _U64(2))  # code bits 63-71
+    top = cells >> _U64(21)
+    top = _SPREAD_TOP[top[0] | (top[1] << _U64(3)) | (top[2] << _U64(6))]  # code bits 63-71
     lo |= top << _U64(63)
     return top >> _U64(1), lo
 
@@ -127,6 +128,23 @@ def sort_order(hi: np.ndarray | None, lo: np.ndarray) -> np.ndarray:
     np.cumsum(ranked[1:] != ranked[:-1], out=rank[1:])
     low8 = lo[order] & _U64(0xFF)
     return order[np.argsort((rank << _U64(8)) | low8, kind="stable")]
+
+
+def sorted_codes(hi: np.ndarray | None, lo: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """The codes that sort_order puts in order, without that order.
+
+    Wide codes sort as keys: the top 64 bits with the code's index in their
+    lowest bits.  Where two keys tie above the index, sort_order decides."""
+    if hi is None:
+        return None, np.sort(lo)
+    bits = _U64(int(len(lo) - 1).bit_length())
+    key = ((hi << _U64(56)) | (lo >> _U64(8))) >> bits << bits
+    key |= np.arange(len(lo), dtype=_U64)
+    key.sort()
+    if (np.diff(key >> bits) == 0).any():
+        order = sort_order(hi, lo)
+        return hi[order], lo[order]
+    return key >> _U64(56), lo[key & ((_U64(1) << bits) - _U64(1))]
 
 
 def shift_codes(hi: np.ndarray, lo: np.ndarray, q: int) -> tuple[np.ndarray | None, np.ndarray]:

@@ -17,9 +17,9 @@ only changes how the deltas are packed, every c at one q decodes to the
 same points: the cell centers that `reconstruct` computes without
 encoding.
 
-A simulated run needs only each unit's size and those cell centers, so
-`measure` stops after the geometry stage and the plan, whose byte count
-the packing stage checks against every payload it writes.
+A simulated run needs only each unit's size and its mean error at those
+cell centers, so `measure` packs nothing: it sorts code values, not their
+order, and takes the error from the cells as axis rows, not a rebuilt scan.
 
 The calibration sweep needs only payload sizes and those cell centers, so
 `sweep` packs nothing and stages by scan, not by q.  It quantizes, Morton
@@ -61,9 +61,9 @@ DEFAULT_BBOX = np.array([-50.0, -50.0, -50.0, 50.0, 50.0, 50.0])
 # block sizes unlocked as the effort knob grows; saturates past c == 6
 _BLOCK_SIZES = (8192, 4096, 2048, 1024, 512, 256)
 
-_UNIT_MAGIC = b"PCU1"
-_UNIT_HEADER = struct.Struct("<4sIBB6fI")
-UNIT_HEADER_BYTES = _UNIT_HEADER.size  # what pack_unit puts ahead of the payload
+# Wire bytes of a unit header: magic[4] | u32 scan_id | u8 q | u8 c | f32 bbox[6] |
+# u32 payload_len.  The simulation carries units as byte counts and only charges this size.
+UNIT_HEADER_BYTES = 38
 _PAYLOAD_META = struct.Struct("<II9sBBBB")
 
 
@@ -179,8 +179,8 @@ def _quantize(points: np.ndarray, bbox: np.ndarray, q: int) -> np.ndarray:
     return np.minimum(cells, np.uint64((1 << q) - 1), out=cells)
 
 
-def _dequantize(cells: np.ndarray, bbox: np.ndarray, q: int) -> np.ndarray:
-    """Cell centers of a (3, n) stack of cell indices, as (n, 3) points."""
+def _cell_centers(cells: np.ndarray, bbox: np.ndarray, q: int) -> np.ndarray:
+    """Cell centers of a (3, n) stack of cell indices, as (3, n) axis rows."""
     lo = bbox[:3].astype(np.float64)
     hi = bbox[3:].astype(np.float64)
     cell = (hi - lo) / float(1 << q)
@@ -188,7 +188,12 @@ def _dequantize(cells: np.ndarray, bbox: np.ndarray, q: int) -> np.ndarray:
     t += 0.5
     t *= cell[:, None]
     t += lo[:, None]
-    return np.ascontiguousarray(t.T)
+    return t
+
+
+def _dequantize(cells: np.ndarray, bbox: np.ndarray, q: int) -> np.ndarray:
+    """Cell centers of a (3, n) stack of cell indices, as (n, 3) points."""
+    return np.ascontiguousarray(_cell_centers(cells, bbox, q).T)
 
 
 _Plan = tuple[int, int, int, "np.ndarray | None", int]
@@ -223,10 +228,9 @@ def _delta_stream_plans(widths: np.ndarray, cs: list[int]) -> list[_Plan]:
 
 @dataclass
 class _Geometry:
-    """Geometry stage output for one (scan, q): the cells and their sorted deltas."""
+    """Geometry stage output for one (scan, q): the sorted codes' deltas and their order."""
 
     bbox: np.ndarray
-    cells: np.ndarray  # (3, n) cell indices at q, in capture order
     order: np.ndarray | None  # Morton sort order; None when it is the identity
     first: bytes  # first sorted Morton code, 72-bit big endian
     deltas: tuple  # deltas of the sorted codes as (hi, lo) words (see bitpack)
@@ -238,12 +242,17 @@ def _check_scan_size(scan: PointCloudScan) -> None:
         raise ConfigError(f"scan has {scan.n_points} points, codec limit is {MAX_POINTS}")
 
 
-def _geometry(scan: PointCloudScan, q: int, tight_bbox: bool) -> _Geometry:
-    """Quantize, Morton code and sort a scan; take the deltas and their widths."""
+def _codes(scan: PointCloudScan, q: int, tight_bbox: bool):
+    """Coding bbox, (3, n) cell indices and Morton code words of a scan at q."""
     _check_scan_size(scan)
     bbox = _coding_bbox(scan, tight_bbox)
     cells = _quantize(scan.points, bbox, q)
-    hi, lo = bitpack.morton_encode(cells, q)
+    return bbox, cells, *bitpack.morton_encode(cells, q)
+
+
+def _geometry(scan: PointCloudScan, q: int, tight_bbox: bool) -> _Geometry:
+    """Quantize, Morton code and sort a scan; take the deltas and their widths."""
+    bbox, _, hi, lo = _codes(scan, q, tight_bbox)
     order = bitpack.sort_order(hi, lo)
     if np.array_equal(order, np.arange(scan.n_points)):
         order = None
@@ -252,12 +261,12 @@ def _geometry(scan: PointCloudScan, q: int, tight_bbox: bool) -> _Geometry:
         hi = None if hi is None else hi[order]
     dhi, dlo = bitpack.deltas(hi, lo)
     first = bitpack.code_int(hi, lo, 0).to_bytes(9, "big")
-    return _Geometry(bbox, cells, order, first, (dhi, dlo), bitpack.code_bit_length(dhi, dlo))
+    return _Geometry(bbox, order, first, (dhi, dlo), bitpack.code_bit_length(dhi, dlo))
 
 
-def _payload_nbytes(n: int, geom: _Geometry, plan: _Plan) -> int:
-    """Exact payload size of an n-point scan's geometry under one delta stream plan."""
-    perm = 0 if geom.order is None else (n * int(n - 1).bit_length() + 7) // 8
+def _payload_nbytes(n: int, permuted: bool, plan: _Plan) -> int:
+    """Exact payload size of an n-point scan, with or without a perm stream, under one plan."""
+    perm = (n * int(n - 1).bit_length() + 7) // 8 if permuted else 0
     return _PAYLOAD_META.size + perm + plan[4]
 
 
@@ -291,7 +300,7 @@ def _pack(scan: PointCloudScan, geom: _Geometry, plan: _Plan) -> bytes:
     )
     payload = meta + perm_bytes + width_bytes + delta_bytes
     # `measure` and `sweep` size payloads without packing; they must never drift apart
-    sized = _payload_nbytes(n, geom, plan)
+    sized = _payload_nbytes(n, geom.order is not None, plan)
     if len(payload) != sized:
         raise RuntimeError(f"packed {len(payload)} payload bytes, the plan sized {sized}")
     return payload
@@ -306,16 +315,23 @@ def encode(scan: PointCloudScan, config: CompressionConfig) -> EncodedUnit:
     return EncodedUnit(scan_id=scan.scan_id, q=config.q, c=config.c, bbox=geom.bbox, payload=payload)
 
 
-def measure(scan: PointCloudScan, config: CompressionConfig) -> tuple[int, PointCloudScan]:
-    """Payload size and reconstruction of a scan at one config, packing nothing:
-    (len(encode(scan, config).payload), reconstruct(scan, config.q,
-    config.tight_bbox)) from one quantization.  Rejects what encode rejects."""
+def measure(scan: PointCloudScan, config: CompressionConfig) -> tuple[int, float]:
+    """(len(encode(scan, config).payload), residual(scan, reconstruct(scan,
+    config.q, config.tight_bbox)).mean_ptp), both exact, from one quantization.
+
+    encode stores a perm stream unless its stable sort order is the identity:
+    unless the codes are nondecreasing in capture order.  Rejects what encode rejects.
+    """
     config.validate()
-    geom = _geometry(scan, config.q, config.tight_bbox)
-    (plan,) = _delta_stream_plans(geom.widths, [config.c])
-    points = _dequantize(geom.cells, geom.bbox, config.q)
-    rebuilt = PointCloudScan(points=points, scan_id=scan.scan_id, n_valid=scan.n_valid)
-    return _payload_nbytes(scan.n_points, geom, plan), rebuilt
+    bbox, cells, hi, lo = _codes(scan, config.q, config.tight_bbox)
+    shi, slo = bitpack.sorted_codes(hi, lo)
+    permuted = not (np.array_equal(slo, lo) and (hi is None or np.array_equal(shi, hi)))
+    widths = bitpack.code_bit_length(*bitpack.deltas(shi, slo))
+    (plan,) = _delta_stream_plans(widths, [config.c])
+    d = _cell_centers(cells, bbox, config.q)
+    np.subtract(scan.points.T, d, out=d)
+    mean_ptp = float(_point_errors(d, scan.n_valid).mean())
+    return _payload_nbytes(scan.n_points, permuted, plan), mean_ptp
 
 
 def sweep(
@@ -458,6 +474,16 @@ def _unsort(sorted_values: np.ndarray, order: np.ndarray) -> np.ndarray:
     return out
 
 
+def _point_errors(d: np.ndarray, n_valid: int) -> np.ndarray:
+    """Norm of each valid column of a (3, n) difference, squaring d in place;
+    x, y and z are summed in that order, as np.linalg.norm does."""
+    d *= d
+    per_point = d[0] + d[1]
+    per_point += d[2]
+    np.sqrt(per_point, out=per_point)
+    return per_point[:n_valid]
+
+
 def residual(original: PointCloudScan, decoded: PointCloudScan) -> ResidualStats:
     """Point-to-point reconstruction error; padded indices do not count."""
     if original.n_points != decoded.n_points:
@@ -468,39 +494,10 @@ def residual(original: PointCloudScan, decoded: PointCloudScan) -> ResidualStats
         raise CardinalityError(
             f"padding mismatch: n_valid {original.n_valid} vs {decoded.n_valid}"
         )
-    # the Euclidean norm per point, summed x, y, z in order as np.linalg.norm does
-    d = np.ascontiguousarray((original.points - decoded.points).T)
-    d *= d
-    per_point = d[0] + d[1]
-    per_point += d[2]
-    np.sqrt(per_point, out=per_point)
-    valid = per_point[: original.n_valid]
+    valid = _point_errors(np.ascontiguousarray((original.points - decoded.points).T),
+                          original.n_valid)
     return ResidualStats(
         mean_ptp=float(valid.mean()),
         max_ptp=float(valid.max()),
         l2_norm=float(np.sqrt(np.sum(valid * valid))),
     )
-
-
-# ---------------------------------------------------------------- wire formats
-
-def pack_unit(unit: EncodedUnit) -> bytes:
-    bbox = np.asarray(unit.bbox, dtype=np.float32)
-    header = _UNIT_HEADER.pack(_UNIT_MAGIC, unit.scan_id, unit.q, unit.c, *bbox, len(unit.payload))
-    return header + unit.payload
-
-
-def unpack_unit(data: bytes) -> EncodedUnit:
-    if len(data) < _UNIT_HEADER.size:
-        raise DecodeError(f"unit header truncated at {len(data)} bytes")
-    magic, scan_id, q, c, *rest = _UNIT_HEADER.unpack_from(data)
-    if magic != _UNIT_MAGIC:
-        raise DecodeError(f"bad unit magic {magic!r}")
-    bbox = np.array(rest[:6], dtype=np.float32)
-    payload_len = rest[6]
-    if len(data) != _UNIT_HEADER.size + payload_len:
-        raise DecodeError(
-            f"unit length mismatch: header says {payload_len} payload bytes, "
-            f"got {len(data) - _UNIT_HEADER.size}"
-        )
-    return EncodedUnit(scan_id=scan_id, q=q, c=c, bbox=bbox, payload=data[_UNIT_HEADER.size :])

@@ -21,8 +21,8 @@ then, so the train enters the link in send order as one wake per packet would.
 
 Nothing downstream of the encoder reads a unit's bytes, only their count,
 so each scan is sized by `measure`, never packed, and the transport carries
-byte counts.  The scan's reconstruction error comes from the same quantized
-cells and is held by scan id until the receiver reports the scan complete.
+byte counts.  `measure` also gives the scan's mean error, from the same
+cells, and it is held by scan id until the receiver reports it complete.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# encode and decode are unused here but stay bound: perfbench wraps them on codec and here alike
+# encode, decode and residual are unused here: perfbench wraps them on codec and here alike
 from .codec import UNIT_HEADER_BYTES, CompressionConfig, decode, encode, measure, residual  # noqa: F401
 from .congestion import (
     CongestionState,
@@ -203,7 +203,7 @@ class _Runner:
         sends a train (see the module docstring) and arms the next past it.
         """
         if self._next_pace is None:
-            self._next_pace = self.sender.next_send_opportunity(self.now)
+            self._next_pace = self.sender.next_send_opportunity()
             self._push(self._next_pace, _PACE, self._on_pace)
 
     # -------------------------------------------------------------- handlers
@@ -254,8 +254,7 @@ class _Runner:
             cfg = CompressionConfig(cfg.q, cfg.c, self.sc.tight_bbox)
         else:
             cfg = self.base_cfg
-        nbytes, rebuilt = measure(scan, cfg)
-        self.pending_ptp[k] = residual(scan, rebuilt).mean_ptp
+        nbytes, self.pending_ptp[k] = measure(scan, cfg)
         self._last_q, self._last_c = cfg.q, cfg.c
         bits = 8 * nbytes
         self._enc_window.append((t, bits))
@@ -408,7 +407,7 @@ class _Runner:
 
     def _finalize(self, pending_arrivals: int) -> None:
         s = self.summary
-        s.packets_sent = self.sender.sent_packets
+        s.packets_sent = self.sender.next_seq - 1  # seqs start at 1
         s.packets_tail_dropped = self.link.ledger.tail_dropped
         s.packets_random_lost = self.link.ledger.random_lost
         s.packets_in_transit = pending_arrivals

@@ -82,22 +82,23 @@ class ScanGenerator:
         self._cos_a = np.cos(azim)[None, :]
         self._sin_a = np.sin(azim)[None, :]
         self._azim = azim
+        self._harmonics = [f * azim + ph for f, ph in zip(self._freqs, self._phases)]
+        with np.errstate(divide="ignore"):
+            self._slant_ground = np.where(
+                self._sin_e < 0, p.sensor_height / np.maximum(-self._sin_e, 1e-12), np.inf
+            )
 
     def _wall_radius(self, pos: tuple[float, float]) -> np.ndarray:
         r = np.full_like(self._azim, self._r0)
-        for a, f, ph, kx, ky in zip(self._amps, self._freqs, self._phases, self._kx, self._ky):
-            r += a * np.sin(f * self._azim + ph + kx * pos[0] + ky * pos[1])
+        for a, base, kx, ky in zip(self._amps, self._harmonics, self._kx, self._ky):
+            r += a * np.sin(base + kx * pos[0] + ky * pos[1])
         return np.clip(r, 4.0, self.profile.max_range - 1.0)
 
     def generate(self, t: float, scan_id: int) -> PointCloudScan:
         p = self.profile
         pos = (self.velocity[0] * t, self.velocity[1] * t)
         slant_wall = self._wall_radius(pos)[None, :] / self._cos_e
-        with np.errstate(divide="ignore"):
-            slant_ground = np.where(
-                self._sin_e < 0, p.sensor_height / np.maximum(-self._sin_e, 1e-12), np.inf
-            )
-        rng_range = np.minimum(slant_wall, slant_ground)
+        rng_range = np.minimum(slant_wall, self._slant_ground)
         rng_range = np.clip(rng_range, p.min_range, p.max_range)
         if p.noise_sigma > 0:
             noise_rng = np.random.default_rng(np.random.SeedSequence([self.seed, _time_key(t)]))
@@ -105,9 +106,10 @@ class ScanGenerator:
             np.clip(noise, -3.0 * p.noise_sigma, 3.0 * p.noise_sigma, out=noise)
             rng_range = np.clip(rng_range + noise, p.min_range, p.max_range)
         pts = np.empty((p.rings, p.azimuth_steps, 3))
-        pts[:, :, 0] = rng_range * self._cos_e * self._cos_a
-        pts[:, :, 1] = rng_range * self._cos_e * self._sin_a
-        pts[:, :, 2] = rng_range * self._sin_e
+        across = rng_range * self._cos_e  # horizontal range, shared by x and y
+        np.multiply(across, self._cos_a, out=pts[:, :, 0])
+        np.multiply(across, self._sin_a, out=pts[:, :, 1])
+        np.multiply(rng_range, self._sin_e, out=pts[:, :, 2])
         return PointCloudScan(
             points=pts.reshape(-1, 3), scan_id=scan_id, timestamp=float(t)
         )

@@ -86,8 +86,7 @@ class DatagramSender:
         params.validate()
         self.params = params
         self.queue: deque[tuple[int, int]] = deque()  # (scan id, unit bytes)
-        self.next_seq = 1  # seq 0 is reserved for "nothing acked yet"
-        self.sent_packets = 0
+        self.next_seq = 1  # seq 0 means "nothing acked yet": next_seq - 1 packets sent
         self.sent_wire_bytes = 0
         self.blocked_reason = "idle"
         self._frame: _Frame | None = None
@@ -170,7 +169,6 @@ class DatagramSender:
             out.append(Packet(seq, frame.scan_id, frame.next_index, frame.frag_count,
                               now, ECT1, payload_len))
             self.next_seq = seq + 1
-            self.sent_packets += 1
             self.sent_wire_bytes += wire
             self._next_send = now + wire / rate_bytes
             if cc_state is not None:
@@ -181,15 +179,16 @@ class DatagramSender:
                 self._frame = None
         return out
 
-    def next_send_opportunity(self, now: float) -> float | None:
+    def next_send_opportunity(self) -> float | None:
         """Earliest time the pacer lets another packet leave.
 
         Only meaningful after a pace_and_send call blocked on pacing; cwnd
         and idle blocks clear on feedback and enqueue instead of a timer.
+        Such a block leaves the next-send time at or past `until` >= `now`.
         """
         if self.blocked_reason != "pacing":
             return None
-        return max(self._next_send, now)
+        return self._next_send
 
     def reconcile_inflight(self, cc_state: CongestionState, highest_acked_seq: int) -> None:
         """Settle every seq a feedback report covers out of bytes_in_flight.

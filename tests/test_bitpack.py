@@ -81,6 +81,10 @@ def test_sort_order_sorts_codes(q, n):
     order = bitpack.sort_order(hi, lo)
     values = to_ints(None if hi is None else hi[order], lo[order])
     assert values == sorted(values)
+    # sorted_codes gives the same codes without the order, as words of the same shape
+    shi, slo = bitpack.sorted_codes(hi, lo)
+    assert (shi is None) == (hi is None)
+    assert to_ints(shi, slo) == values
 
 
 @given(q=st.integers(1, 24), n=st.integers(1, 1000), cells=st.integers(1, 40))
@@ -94,6 +98,20 @@ def test_sort_order_is_stable_with_ties(q, n, cells):
     values = [pool[i] for i in rng.integers(0, cells, size=n)]
     expected = sorted(range(n), key=lambda i: values[i])
     assert bitpack.sort_order(*to_words(values, q)).tolist() == expected
+    assert to_ints(*bitpack.sorted_codes(*to_words(values, q))) == sorted(values)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sorted_codes_order_codes_whose_top_64_bits_tie(seed):
+    # cells 0-3 apart on each axis at q = 24 (points a few um apart in the
+    # default box) share every code bit from bit 6 up
+    rng = np.random.default_rng(seed)
+    corner = 8 * rng.integers(1 << 17, 1 << 21, size=(3, 1)).astype(np.uint64)
+    hi, lo = bitpack.morton_encode(corner + rng.integers(0, 4, size=(3, 500)).astype(np.uint64), 24)
+    assert len(np.unique((hi << np.uint64(56)) | (lo >> np.uint64(8)))) == 1
+    assert len(np.unique(lo & np.uint64(0xFF))) > 1
+    order = bitpack.sort_order(hi, lo)
+    assert to_ints(*bitpack.sorted_codes(hi, lo)) == to_ints(hi[order], lo[order])
 
 
 @given(q=st.integers(1, 24), n=st.integers(2, 200))

@@ -26,11 +26,9 @@ from scanstream.codec import (
     decode,
     encode,
     measure,
-    pack_unit,
     reconstruct,
     residual,
     sweep,
-    unpack_unit,
 )
 
 
@@ -134,6 +132,10 @@ def sweep_points(n, seed, layout):
         bbox = codec._coding_bbox(PointCloudScan(points), False)
         hi, lo = bitpack.morton_encode(codec._quantize(points, bbox, Q_MAX), Q_MAX)
         points = points[bitpack.sort_order(hi, lo)]
+    elif layout == "near_duplicates":  # cells 0-3 apart: wide codes tie on their top 64 bits
+        cell = (DEFAULT_BBOX[3] - DEFAULT_BBOX[0]) / (1 << Q_MAX)
+        corner = 8 * rng.integers(0, 1 << (Q_MAX - 3), size=3)
+        points = DEFAULT_BBOX[:3] + cell * (corner + rng.integers(0, 4, size=(n, 3)) + 0.5)
     elif layout == "faces":  # t == 1 on the default box's max face clamps
         face = rng.random(size=(n, 3)) < 0.3
         points[face] = rng.choice([-50.0, 50.0], size=int(face.sum()))
@@ -143,7 +145,9 @@ def sweep_points(n, seed, layout):
 @given(
     n=st.integers(1, 40),
     seed=st.integers(0, 1000),
-    layout=st.sampled_from(["spread", "duplicates", "cluster", "presorted", "faces"]),
+    layout=st.sampled_from(
+        ["spread", "duplicates", "cluster", "presorted", "faces", "near_duplicates"]
+    ),
     padded=st.booleans(),
     tight=st.booleans(),
 )
@@ -154,6 +158,7 @@ def sweep_points(n, seed, layout):
 @example(n=30, seed=3, layout="cluster", padded=False, tight=False)
 @example(n=30, seed=4, layout="faces", padded=False, tight=False)
 @example(n=30, seed=5, layout="spread", padded=True, tight=True)
+@example(n=30, seed=6, layout="near_duplicates", padded=False, tight=False)
 def test_sweep_equals_encode_and_reconstruct(n, seed, layout, padded, tight):
     # and so does measure, config for config
     points = sweep_points(n, seed, layout)
@@ -172,11 +177,18 @@ def test_sweep_equals_encode_and_reconstruct(n, seed, layout, padded, tight):
         ref = reconstruct(scan, q, tight)
         assert np.array_equal(rebuilt.points, ref.points)
         assert (rebuilt.n_valid, rebuilt.scan_id) == (n_valid, seed)
+        mean_ptp = residual(scan, ref).mean_ptp
         for c, size in zip(cs, sizes):
-            nbytes, measured = measure(scan, CompressionConfig(q, c, tight))
-            assert nbytes == size
-            assert np.array_equal(measured.points, ref.points)
-            assert (measured.n_valid, measured.scan_id) == (n_valid, seed)
+            assert measure(scan, CompressionConfig(q, c, tight)) == (size, mean_ptp)
+
+
+def test_measure_sizes_a_perm_stream_that_only_the_high_word_shows():
+    # y bit 21 is code bit 64: these codes agree in their low 64 bits and fall
+    cell = (DEFAULT_BBOX[3] - DEFAULT_BBOX[0]) / (1 << Q_MAX)
+    cells = np.array([[5, (1 << 21) + 7, 9], [5, 7, 9]])
+    scan = PointCloudScan(DEFAULT_BBOX[:3] + cell * (cells + 0.5))
+    config = CompressionConfig(Q_MAX, 0)
+    assert measure(scan, config)[0] == len(encode(scan, config).payload)
 
 
 def test_sweep_rejects_what_encode_rejects(monkeypatch):
@@ -229,7 +241,8 @@ def test_unit_metadata_and_sizes():
     scan = make_scan(300, 1, scan_id=77)
     unit = encode(scan, CompressionConfig(12, 4))
     assert (unit.scan_id, unit.q, unit.c) == (77, 12, 4)
-    assert len(pack_unit(unit)) == UNIT_HEADER_BYTES + len(unit.payload)
+    # magic[4] | u32 scan_id | u8 q | u8 c | f32 bbox[6] | u32 payload_len
+    assert UNIT_HEADER_BYTES == struct.calcsize("<4sIBB6fI")
 
 
 def test_tight_bbox_roundtrip():
@@ -240,28 +253,6 @@ def test_tight_bbox_roundtrip():
     loose_stats = residual(scan, decode(loose))
     # a tight box shrinks the quantization cell, so error drops at equal q
     assert stats.mean_ptp < loose_stats.mean_ptp
-
-
-# ------------------------------------------------------------ unit framing
-
-
-def test_pack_unpack_unit_roundtrip():
-    unit = encode(make_scan(400, 8, scan_id=9), CompressionConfig(15, 6))
-    clone = unpack_unit(pack_unit(unit))
-    assert clone.scan_id == unit.scan_id
-    assert clone.q == unit.q and clone.c == unit.c
-    assert np.allclose(clone.bbox, unit.bbox)
-    assert clone.payload == unit.payload
-    assert decode(clone).points.shape == (400, 3)
-
-
-def test_unpack_unit_rejects_garbage():
-    blob = bytearray(pack_unit(encode(make_scan(64, 2), CompressionConfig(9, 1))))
-    blob[0] = 0xFF  # break the magic
-    with pytest.raises(DecodeError):
-        unpack_unit(bytes(blob))
-    with pytest.raises(DecodeError):
-        unpack_unit(blob[:10])
 
 
 def test_decode_rejects_truncated_payload():

@@ -33,7 +33,7 @@ def drain(sender, pacing_rate, now=0.0, cc=None, ccp=None, horizon=30.0):
             sent.append((now, pkt))
         if sender.blocked_reason == "idle" and sender.queue_depth == 0:
             break
-        wake = sender.next_send_opportunity(now)
+        wake = sender.next_send_opportunity()
         if wake is None:
             break
         now = wake
@@ -149,11 +149,11 @@ def test_sender_blocked_reason_transitions():
     sender = DatagramSender(TransportParams())
     assert sender.pace_and_send(None, None, 1e6, 0.0, 0.0) == []
     assert sender.blocked_reason == "idle"
-    assert sender.next_send_opportunity(0.0) is None
+    assert sender.next_send_opportunity() is None
     sender.enqueue_unit(0, BIGGER_UNIT)
     sender.pace_and_send(None, None, 1e6, 0.0, 0.0)
     assert sender.blocked_reason == "pacing"
-    assert sender.next_send_opportunity(0.0) > 0.0
+    assert sender.next_send_opportunity() > 0.0
 
 
 def test_train_sends_what_one_call_per_send_time_sends():
@@ -166,7 +166,7 @@ def test_train_sends_what_one_call_per_send_time_sends():
     assert train.pace_and_send(None, None, 2e6, 0.0, until) == [p for _, p in sent[:10]]
     assert [p.send_time for _, p in sent] == [t for t, _ in sent]
     assert train.blocked_reason == "pacing"
-    assert train.next_send_opportunity(0.0) == until
+    assert train.next_send_opportunity() == until
 
 
 def test_pacing_rate_must_be_positive():
@@ -186,7 +186,7 @@ def test_cwnd_blocks_first_fragment_at_plain_window():
     sender.enqueue_unit(0, BIGGER_UNIT)
     assert sender.pace_and_send(cc, ccp, 10e6, 0.0, 0.0) == []
     assert sender.blocked_reason == "cwnd"
-    assert sender.next_send_opportunity(0.0) is None  # cleared by feedback, not timers
+    assert sender.next_send_opportunity() is None  # cleared by feedback, not timers
 
 
 def test_cwnd_opens_to_overshoot_mid_frame():
