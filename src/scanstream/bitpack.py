@@ -223,25 +223,16 @@ def from_bit_matrix(bits: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
 
 def pack_uint(values: np.ndarray, width: int) -> bytes:
     """Pack 32-bit-or-less unsigned values at a fixed width, byte padded."""
-    if width == 0 or len(values) == 0:
-        return b""
     if width > 32:
         raise ValueError(f"pack_uint supports widths up to 32, got {width}")
-    by = values.astype(">u4").view(np.uint8).reshape(len(values), 4)
-    bits = np.unpackbits(by.reshape(-1)).reshape(len(values), 32)[:, 32 - width :]
-    return np.packbits(bits.ravel()).tobytes()
+    by = values.astype(">u4").view(np.uint8)
+    return pack_width(np.unpackbits(by).reshape(len(values), 32), width)
 
 
 def unpack_uint(data: bytes, width: int, count: int) -> np.ndarray:
     """Inverse of pack_uint; returns int64 values."""
-    if width == 0 or count == 0:
-        return np.zeros(count, dtype=np.int64)
-    need = count * width
-    raw = np.frombuffer(data, dtype=np.uint8)
-    if len(raw) * 8 < need:
-        raise ValueError(f"bit stream truncated: need {need} bits, have {len(raw) * 8}")
     bits = np.zeros((count, 32), dtype=np.uint8)
-    bits[:, 32 - width :] = np.unpackbits(raw, count=need).reshape(count, width)
+    unpack_width(data, width, bits)
     return np.packbits(bits.reshape(-1)).view(">u4").astype(np.int64)
 
 
@@ -253,17 +244,16 @@ def pack_width(bits: np.ndarray, width: int) -> bytes:
     return np.packbits(sel.ravel()).tobytes()
 
 
-def unpack_width(data: bytes, width: int, count: int, cols: int) -> np.ndarray:
-    """Inverse of pack_width; returns a (count, cols) bit matrix.
+def unpack_width(data: bytes, width: int, out: np.ndarray) -> None:
+    """Inverse of pack_width: fill the low `width` columns of the zeroed bit
+    matrix `out`, one row per value.
 
-    Raises ValueError when `data` is too short for count * width bits.
+    Raises ValueError when `data` holds fewer than len(out) * width bits.
     """
+    count, cols = out.shape
     need = count * width
     raw = np.frombuffer(data, dtype=np.uint8)
     if len(raw) * 8 < need:
         raise ValueError(f"bit stream truncated: need {need} bits, have {len(raw) * 8}")
-    out = np.zeros((count, cols), dtype=np.uint8)
-    if need == 0:
-        return out
-    out[:, cols - width :] = np.unpackbits(raw, count=need).reshape(count, width)
-    return out
+    if need:
+        out[:, cols - width :] = np.unpackbits(raw, count=need).reshape(count, width)

@@ -8,14 +8,13 @@ knob c in [0, 9] enables progressively finer block-adaptive widths for the
 delta stream; candidates are always raced against each other and the
 smallest encoding wins, so payload size is nonincreasing in c.
 
-Encoding runs in two stages, as Draco quantizes and orders before it
-entropy codes.  The geometry stage depends only on (scan, q): bounding
-box, quantization, Morton codes, sort, deltas and their widths.  The
-packing stage picks the delta stream plan for c and writes the
-permutation stream, the delta stream and the payload header.  Since c
-only changes how the deltas are packed, every c at one q decodes to the
-same points: the cell centers that `reconstruct` computes without
-encoding.
+Encoding follows Draco's order: quantize and sort, then entropy code.
+Quantization, Morton codes, sort, deltas and their widths depend only on
+(scan, q); c only picks how the deltas are packed: one global width, or
+one width per block.  So every c at one q decodes to the same points: the
+cell centers that `reconstruct` computes without encoding.  Both modes
+write and read the delta stream block by block, the global mode as one
+block of all n - 1 deltas.
 
 A simulated run needs only each unit's size and its mean error at those
 cell centers, so `measure` packs nothing: it sorts code values, not their
@@ -40,6 +39,10 @@ Payload layout (after the unit wire header, little endian):
     u8 perm_mode (0 identity, 1 packed) | u8 delta_mode (0 global, 1 blocks)
     u8 delta_width | u8 block_log2
     perm stream (byte padded) | block width bytes | delta stream (byte padded)
+
+Blocks hold 2**block_log2 deltas, 256 to 8192 (block_log2 8 to 13), the
+last block the rest.  Each block's stream is whole bytes but the last
+one's, so the blocks join into one byte-padded stream.
 """
 from __future__ import annotations
 
@@ -226,17 +229,6 @@ def _delta_stream_plans(widths: np.ndarray, cs: list[int]) -> list[_Plan]:
     return [winners[min(c, len(winners) - 1)] for c in cs]
 
 
-@dataclass
-class _Geometry:
-    """Geometry stage output for one (scan, q): the sorted codes' deltas and their order."""
-
-    bbox: np.ndarray
-    order: np.ndarray | None  # Morton sort order; None when it is the identity
-    first: bytes  # first sorted Morton code, 72-bit big endian
-    deltas: tuple  # deltas of the sorted codes as (hi, lo) words (see bitpack)
-    widths: np.ndarray  # bit length of each delta
-
-
 def _check_scan_size(scan: PointCloudScan) -> None:
     if scan.n_points > MAX_POINTS:
         raise ConfigError(f"scan has {scan.n_points} points, codec limit is {MAX_POINTS}")
@@ -250,69 +242,51 @@ def _codes(scan: PointCloudScan, q: int, tight_bbox: bool):
     return bbox, cells, *bitpack.morton_encode(cells, q)
 
 
-def _geometry(scan: PointCloudScan, q: int, tight_bbox: bool) -> _Geometry:
-    """Quantize, Morton code and sort a scan; take the deltas and their widths."""
-    bbox, _, hi, lo = _codes(scan, q, tight_bbox)
-    order = bitpack.sort_order(hi, lo)
-    if np.array_equal(order, np.arange(scan.n_points)):
-        order = None
-    else:
-        lo = lo[order]
-        hi = None if hi is None else hi[order]
-    dhi, dlo = bitpack.deltas(hi, lo)
-    first = bitpack.code_int(hi, lo, 0).to_bytes(9, "big")
-    return _Geometry(bbox, order, first, (dhi, dlo), bitpack.code_bit_length(dhi, dlo))
-
-
 def _payload_nbytes(n: int, permuted: bool, plan: _Plan) -> int:
     """Exact payload size of an n-point scan, with or without a perm stream, under one plan."""
     perm = (n * int(n - 1).bit_length() + 7) // 8 if permuted else 0
     return _PAYLOAD_META.size + perm + plan[4]
 
 
-def _pack(scan: PointCloudScan, geom: _Geometry, plan: _Plan) -> bytes:
-    """Packing stage: the payload for one delta stream plan."""
-    delta_mode, global_w, block_log2, block_widths, _ = plan
-    n = scan.n_points
-    perm_bytes = b""
-    if geom.order is not None:
-        perm_bytes = bitpack.pack_uint(geom.order, int(n - 1).bit_length())
-    bits = bitpack.to_bit_matrix(*geom.deltas)
-    if delta_mode == 0:
-        width_bytes = b""
-        delta_bytes = bitpack.pack_width(bits, global_w)
-    else:
-        width_bytes = block_widths.astype(np.uint8).tobytes()
-        block = 1 << block_log2
-        # rows go straight into one stream: a copy per block, then their
-        # concatenation, would hold the packed deltas twice at encode's peak
-        lens = np.minimum(block, len(bits) - block * np.arange(len(block_widths)))
-        stream = np.empty(int(lens @ block_widths), dtype=np.uint8)
-        pos = 0
-        for k, w in enumerate(block_widths):
-            rows = bits[k * block : (k + 1) * block, bits.shape[1] - int(w) :]
-            stream[pos : pos + rows.size].reshape(rows.shape)[...] = rows
-            pos += rows.size
-        delta_bytes = np.packbits(stream).tobytes()
-
-    meta = _PAYLOAD_META.pack(
-        n, scan.n_valid, geom.first, int(geom.order is not None), delta_mode, global_w, block_log2
-    )
-    payload = meta + perm_bytes + width_bytes + delta_bytes
-    # `measure` and `sweep` size payloads without packing; they must never drift apart
-    sized = _payload_nbytes(n, geom.order is not None, plan)
-    if len(payload) != sized:
-        raise RuntimeError(f"packed {len(payload)} payload bytes, the plan sized {sized}")
-    return payload
-
-
 def encode(scan: PointCloudScan, config: CompressionConfig) -> EncodedUnit:
     """Compress a scan; raises OutOfRangeError for points outside the bbox."""
     config.validate()
-    geom = _geometry(scan, config.q, config.tight_bbox)
-    (plan,) = _delta_stream_plans(geom.widths, [config.c])
-    payload = _pack(scan, geom, plan)
-    return EncodedUnit(scan_id=scan.scan_id, q=config.q, c=config.c, bbox=geom.bbox, payload=payload)
+    n = scan.n_points
+    bbox, _, hi, lo = _codes(scan, config.q, config.tight_bbox)
+    order = bitpack.sort_order(hi, lo)
+    permuted = not np.array_equal(order, np.arange(n))
+    perm_bytes = b""
+    if permuted:
+        perm_bytes = bitpack.pack_uint(order, int(n - 1).bit_length())
+        lo = lo[order]
+        hi = None if hi is None else hi[order]
+    # each stage's words are dropped once the next stage holds them, so
+    # encode's peak is the deltas' bit matrix
+    del order
+    first = bitpack.code_int(hi, lo, 0).to_bytes(9, "big")
+    dhi, dlo = bitpack.deltas(hi, lo)
+    del hi, lo
+    (plan,) = _delta_stream_plans(bitpack.code_bit_length(dhi, dlo), [config.c])
+    delta_mode, global_w, block_log2, block_widths, _ = plan
+    bits = bitpack.to_bit_matrix(dhi, dlo)
+    del dhi, dlo
+    block, widths = len(bits), [global_w]  # the global stream is one block
+    if delta_mode == 1:
+        block, widths = 1 << block_log2, block_widths
+    # every block but the last holds a multiple of 8 bits, so the blocks'
+    # byte-padded streams join into one padded stream
+    delta_bytes = b"".join(bitpack.pack_width(bits[k * block : (k + 1) * block], int(w))
+                           for k, w in enumerate(widths))
+    width_bytes = b"" if delta_mode == 0 else block_widths.astype(np.uint8).tobytes()
+    meta = _PAYLOAD_META.pack(
+        n, scan.n_valid, first, int(permuted), delta_mode, global_w, block_log2
+    )
+    payload = meta + perm_bytes + width_bytes + delta_bytes
+    # `measure` and `sweep` size payloads without packing; they must never drift apart
+    sized = _payload_nbytes(n, permuted, plan)
+    if len(payload) != sized:
+        raise RuntimeError(f"packed {len(payload)} payload bytes, the plan sized {sized}")
+    return EncodedUnit(scan_id=scan.scan_id, q=config.q, c=config.c, bbox=bbox, payload=payload)
 
 
 def measure(scan: PointCloudScan, config: CompressionConfig) -> tuple[int, float]:
@@ -367,17 +341,16 @@ def sweep(
     fall = (b_hi < a_hi) | ((b_hi == a_hi) & (b_lo < a_lo))
     fall_bits = bitpack.code_bit_length(a_hi[fall] ^ b_hi[fall], a_lo[fall] ^ b_lo[fall])
     sorted_from = int(fall_bits.max(initial=0))  # shifts of this many bits leave no fall
-    perm_bytes = (n * int(n - 1).bit_length() + 7) // 8
     order = bitpack.sort_order(hi, lo)
     hi, lo = hi[order], lo[order]
     for q in qs:
         shift = Q_MAX - q
         dhi, dlo = bitpack.deltas(*bitpack.shift_codes(hi, lo, q))
         plans = _delta_stream_plans(bitpack.code_bit_length(dhi, dlo), cs)
-        perm = 0 if 3 * shift >= sorted_from else perm_bytes
+        permuted = 3 * shift < sorted_from
         points = _dequantize(cells >> np.uint64(shift), bbox, q)
         rebuilt = PointCloudScan(points=points, scan_id=scan.scan_id, n_valid=scan.n_valid)
-        yield q, [_PAYLOAD_META.size + perm + plan[4] for plan in plans], rebuilt
+        yield q, [_payload_nbytes(n, permuted, plan) for plan in plans], rebuilt
 
 
 def decode(unit: EncodedUnit) -> PointCloudScan:
@@ -398,17 +371,15 @@ def decode(unit: EncodedUnit) -> PointCloudScan:
         raise DecodeError("unknown stream mode")
     if global_w > 3 * q:
         raise DecodeError(f"delta width {global_w} exceeds the {q}-bit grid")
-    cols = bitpack.row_bits(q)
     pos = _PAYLOAD_META.size
 
     order = None  # identity
     if perm_mode == 1:
         pw = int(n - 1).bit_length()
         nbytes = (n * pw + 7) // 8
-        try:
-            order = bitpack.unpack_uint(payload[pos : pos + nbytes], pw, n)
-        except ValueError as exc:
-            raise DecodeError(str(exc)) from None
+        if len(payload) < pos + nbytes:
+            raise DecodeError("perm stream truncated")
+        order = bitpack.unpack_uint(payload[pos : pos + nbytes], pw, n)
         pos += nbytes
         seen = np.zeros(n, dtype=bool)
         if order.max(initial=0) >= n:
@@ -418,36 +389,27 @@ def decode(unit: EncodedUnit) -> PointCloudScan:
             raise DecodeError("perm stream is not a permutation")
 
     m = n - 1
+    block, widths = m, np.array([global_w])  # the global stream is one block
+    if delta_mode == 1:
+        block = 1 << block_log2
+        if block not in _BLOCK_SIZES:
+            raise DecodeError(f"block size 2**{block_log2} is not one the encoder writes")
+        nblocks = (m + block - 1) // block
+        widths = np.frombuffer(payload[pos : pos + nblocks], dtype=np.uint8)
+        if len(widths) != nblocks:
+            raise DecodeError("block width table truncated")
+        if widths.max(initial=0) > 3 * q:
+            raise DecodeError(f"block width exceeds the {q}-bit grid")
+        pos += nblocks
+    lens = np.minimum(block, m - block * np.arange(len(widths)))
+    sizes = ((lens * widths + 7) // 8).tolist()
+    if len(payload) < pos + sum(sizes):
+        raise DecodeError(f"delta stream truncated: need {sum(sizes)} bytes")
+    bits = np.zeros((m, bitpack.row_bits(q)), dtype=np.uint8)
+    for k, (w, size) in enumerate(zip(widths.tolist(), sizes)):
+        bitpack.unpack_width(payload[pos : pos + size], w, bits[k * block : (k + 1) * block])
+        pos += size
     try:
-        if delta_mode == 0:
-            nbytes = (m * global_w + 7) // 8
-            bits = bitpack.unpack_width(payload[pos : pos + nbytes], global_w, m, cols)
-            pos += nbytes
-        else:
-            block = 1 << block_log2
-            if block < 1 or block > MAX_POINTS:
-                raise DecodeError(f"bad block size 2**{block_log2}")
-            nblocks = (m + block - 1) // block
-            bw = np.frombuffer(payload[pos : pos + nblocks], dtype=np.uint8).astype(np.int64)
-            if len(bw) != nblocks:
-                raise DecodeError("block width table truncated")
-            if bw.max(initial=0) > 3 * q:
-                raise DecodeError(f"block width exceeds the {q}-bit grid")
-            pos += nblocks
-            lens = np.minimum(np.arange(1, nblocks + 1) * block, m) - np.arange(nblocks) * block
-            total_bits = int(np.sum(lens * bw))
-            raw = np.frombuffer(payload[pos : pos + (total_bits + 7) // 8], dtype=np.uint8)
-            if len(raw) * 8 < total_bits:
-                raise ValueError(f"bit stream truncated: need {total_bits} bits")
-            pos += (total_bits + 7) // 8
-            flat = np.unpackbits(raw, count=total_bits) if total_bits else np.zeros(0, dtype=np.uint8)
-            bits = np.zeros((m, cols), dtype=np.uint8)
-            splits = np.split(flat, np.cumsum(lens * bw)[:-1])
-            for k, seg in enumerate(splits):
-                if bw[k] == 0:
-                    continue
-                rows = seg.reshape(int(lens[k]), int(bw[k]))
-                bits[k * block : k * block + len(rows), cols - int(bw[k]) :] = rows
         dhi, dlo = bitpack.from_bit_matrix(bits)
         hi, lo = bitpack.cumsum_words(int.from_bytes(first_raw, "big"), dhi, dlo, q)
     except ValueError as exc:

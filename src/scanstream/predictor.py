@@ -189,15 +189,25 @@ def save_model(model: RateModel, path) -> None:
 
 
 def load_model(path) -> RateModel:
+    """Read a model written by save_model; a malformed one raises ValueError naming the file."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"model file {path} holds a {type(doc).__name__}, not a JSON object")
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"unsupported model format {doc.get('format')!r} in {path}")
+    missing = [k for k in ("coef", "intercept", "feature_center", "feature_scale", "scan_hz")
+               if k not in doc]
+    if missing:
+        raise ValueError(f"model file {path} lacks {', '.join(missing)}")
+    vectors = {k: np.array(doc[k], dtype=np.float64)
+               for k in ("coef", "feature_center", "feature_scale")}
+    for k, v in vectors.items():
+        if v.shape != (len(FEATURE_NAMES),):
+            raise ValueError(f"{k} in {path} has shape {v.shape}, not ({len(FEATURE_NAMES)},)")
     return RateModel(
-        coef=np.array(doc["coef"], dtype=np.float64),
+        **vectors,
         intercept=float(doc["intercept"]),
-        feature_center=np.array(doc["feature_center"], dtype=np.float64),
-        feature_scale=np.array(doc["feature_scale"], dtype=np.float64),
         scan_hz=float(doc["scan_hz"]),
         diagnostics=dict(doc.get("diagnostics", {})),
     )

@@ -45,6 +45,9 @@ class TableRow:
     measured_bps: float
 
 
+_COLUMNS = ("q", "c", "mean_ptp", "max_ptp", "l2_norm", "measured_bps")
+
+
 @dataclass
 class ResidualTable:
     """Grid calibration results aggregated over a corpus.
@@ -206,7 +209,7 @@ def write_table(path, table: ResidualTable) -> None:
             f" corpus={table.corpus_id or 'unknown'}\n"
         )
         writer = csv.writer(fh)
-        writer.writerow(["q", "c", "mean_ptp", "max_ptp", "l2_norm", "measured_bps"])
+        writer.writerow(_COLUMNS)
         for r in table.rows:
             writer.writerow(
                 [r.q, r.c, repr(r.mean_ptp), repr(r.max_ptp), repr(r.l2_norm), repr(r.measured_bps)]
@@ -214,12 +217,19 @@ def write_table(path, table: ResidualTable) -> None:
 
 
 def read_table(path) -> ResidualTable:
+    """Read a table written by write_table; a malformed one raises ValueError naming the file."""
     with open(path, newline="") as fh:
         head = fh.readline().strip()
         if not head.startswith(f"# {TABLE_FORMAT}"):
             raise ValueError(f"unsupported residual table header {head!r} in {path}")
-        fields = dict(part.split("=", 1) for part in head.split()[2:])
+        fields = dict(part.split("=", 1) for part in head.split()[2:] if "=" in part)
+        missing = [k for k in ("scan_hz", "aggregate") if k not in fields]
+        if missing:
+            raise ValueError(f"residual table header lacks {', '.join(missing)} in {path}")
         reader = csv.DictReader(fh)
+        missing = [k for k in _COLUMNS if k not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"residual table lacks column {', '.join(missing)} in {path}")
         rows = [
             TableRow(
                 q=int(row["q"]),
@@ -231,6 +241,8 @@ def read_table(path) -> ResidualTable:
             )
             for row in reader
         ]
+    if not rows:
+        raise ValueError(f"residual table has no rows in {path}")
     return ResidualTable(
         rows=rows,
         scan_hz=float(fields["scan_hz"]),

@@ -190,11 +190,15 @@ def test_pack_width_roundtrip(width, n):
     bits = bitpack.to_bit_matrix(*to_words(values, 24))
     packed = bitpack.pack_width(bits, width)
     assert len(packed) == (n * width + 7) // 8
-    assert np.array_equal(bitpack.unpack_width(packed, width, n, bitpack.VALUE_BITS), bits)
+    out = np.zeros_like(bits)
+    bitpack.unpack_width(packed, width, out)
+    assert np.array_equal(out, bits)
     if width <= 64:
         narrow = bitpack.to_bit_matrix(*to_words(values, 21))
         assert bitpack.pack_width(narrow, width) == packed
-        assert np.array_equal(bitpack.unpack_width(packed, width, n, 64), narrow)
+        out = np.zeros_like(narrow)
+        bitpack.unpack_width(packed, width, out)
+        assert np.array_equal(out, narrow)
 
 
 def test_bit_length():
@@ -233,4 +237,4 @@ def test_unpack_truncation_raises():
     with pytest.raises(ValueError):
         bitpack.unpack_uint(b"\x00", 16, 4)
     with pytest.raises(ValueError):
-        bitpack.unpack_width(b"\x00", 16, 4, 64)
+        bitpack.unpack_width(b"\x00", 16, np.zeros((4, 64), dtype=np.uint8))

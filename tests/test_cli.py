@@ -1,5 +1,7 @@
 """CLI subcommands, invoked in process through cli(argv)."""
 
+import json
+
 import pytest
 import yaml
 
@@ -162,3 +164,33 @@ def test_missing_scenario_exit_1(tmp_path, capsys):
     rc = cli(["run", "--scenario", str(tmp_path / "nope.yaml")])
     assert rc == 1
     assert "does not exist" in capsys.readouterr().err
+
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace(" scan_hz=", " rate=", 1),
+    lambda text: text.replace(" aggregate=", " agg=", 1),
+    lambda text: text.replace("mean_ptp,", "mean,", 1),
+    lambda text: "".join(text.splitlines(keepends=True)[:2]),  # the two header lines only
+], ids=["no-scan_hz", "no-aggregate", "no-column", "no-rows"])
+def test_minrate_rejects_a_malformed_table(cal_dir, tmp_path, capsys, edit):
+    path = tmp_path / "table.csv"
+    path.write_text(edit((cal_dir / "table.csv").read_text()))
+    assert cli(["minrate", "--table", str(path), "--epsilon", "0.05"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: [doc],
+    lambda doc: {k: v for k, v in doc.items() if k != "coef"},
+    lambda doc: {**doc, "coef": doc["coef"][:-1]},
+    lambda doc: {**doc, "feature_scale": doc["feature_scale"] + [1.0]},
+], ids=["not-a-mapping", "no-coef", "short-coef", "long-feature_scale"])
+def test_run_rejects_a_malformed_model(cal_dir, scenario_path, tmp_path, capsys, edit):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(edit(json.loads((cal_dir / "model.json").read_text()))))
+    rc = cli(["run", "--scenario", str(scenario_path), "--model", str(path), "--duration", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err

@@ -262,9 +262,19 @@ def test_decode_rejects_truncated_payload():
         decode(unit)
 
 
-def test_decode_checks_length_before_allocating():
+BIG_N = 1 << 24
+
+
+@pytest.mark.parametrize("payload", [
     # a bare 21-byte header claiming 2**24 points of 8-bit deltas
-    payload = struct.pack("<II9sBBBB", 1 << 24, 1, bytes(9), 0, 0, 8, 0)
+    struct.pack("<II9sBBBB", BIG_N, 1, bytes(9), 0, 0, 8, 0),
+    # 256-row blocks: a full table of 8-bit widths, one per 256 of the
+    # 2**24 - 1 deltas, and no stream
+    struct.pack("<II9sBBBB", BIG_N, 1, bytes(9), 0, 1, 0, 8) + bytes([8]) * (BIG_N // 256),
+    # a perm stream claimed, and no perm bytes
+    struct.pack("<II9sBBBB", BIG_N, 1, bytes(9), 1, 0, 0, 0),
+], ids=["global", "blocks", "perm"])
+def test_decode_checks_length_before_allocating(payload):
     unit = encode(make_scan(16, 2), CompressionConfig(12, 0))
     unit.payload = payload
     tracemalloc.start()
@@ -275,6 +285,20 @@ def test_decode_checks_length_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("block_log2", [0, 7, 14])
+def test_decode_rejects_block_sizes_the_encoder_never_writes(block_log2):
+    # 1-row blocks of 8-bit deltas for 2**20 points: a width byte and a
+    # stream byte per delta, 2,097,171 bytes in all.  Blocks of 256 to 8192
+    # rows keep decode's block loop to at most m / 256 iterations.
+    m = (1 << 20) - 1
+    nblocks = -(-m // (1 << block_log2))
+    unit = encode(make_scan(16, 2), CompressionConfig(12, 9))
+    unit.payload = (struct.pack("<II9sBBBB", m + 1, 1, bytes(9), 0, 1, 0, block_log2)
+                    + bytes([8]) * nblocks + bytes(m))
+    with pytest.raises(DecodeError, match="block size"):
+        decode(unit)
 
 
 def headed_unit(q, n, first, width, stream):

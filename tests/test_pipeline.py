@@ -330,7 +330,7 @@ def test_run_sizes_each_scan_once_and_makes_no_bytes(bounds, model, monkeypatch,
 
     # nor sorts an order, rebuilds a scan or calls residual: measure sorts
     # code values and takes the error from the cells
-    for name in ("encode", "_pack", "reconstruct", "_quantize", "_dequantize", "residual"):
+    for name in ("encode", "reconstruct", "_quantize", "_dequantize", "residual"):
         count(codec, name)
     for name in ("to_bit_matrix", "sort_order"):
         count(bitpack, name)

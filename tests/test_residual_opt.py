@@ -118,7 +118,7 @@ def test_sweep_sorts_each_scan_once_and_packs_nothing(monkeypatch):
 
     for name in ("morton_encode", "sort_order", "to_bit_matrix", "pack_uint", "pack_width"):
         count(bitpack, name)
-    for name in ("encode", "_geometry", "_pack", "decode"):
+    for name in ("encode", "decode"):
         count(codec, name)
     corpus = generate_corpus(SMALL, seed=6, n_scans=3)
     table, _ = calibrate_detailed(corpus, scan_hz=10.0)
