@@ -14,7 +14,7 @@ import argparse
 import dataclasses
 import sys
 
-from .predictor import FitError, fit, load_model, save_model, write_samples
+from .predictor import FitError, fit, save_model, write_samples
 from .residual_opt import (
     AGGREGATES,
     CalibrationError,
@@ -67,35 +67,21 @@ def _cmd_minrate(args) -> int:
     return 0
 
 
-def _apply_run_overrides(scenario, args) -> None:
-    if getattr(args, "seed", None) is not None:
-        scenario.scan_source = dataclasses.replace(scenario.scan_source, seed=args.seed)
-        scenario.link = dataclasses.replace(scenario.link, rng_seed=args.seed)
-    if getattr(args, "duration", None) is not None:
-        scenario.duration = args.duration
-
-
 def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
-    _apply_run_overrides(scenario, args)
-    if args.model is not None:
+    if args.seed is not None:
+        scenario.scan_source = dataclasses.replace(scenario.scan_source, seed=args.seed)
+        scenario.link = dataclasses.replace(scenario.link, rng_seed=args.seed)
+    if args.duration is not None:
+        scenario.duration = args.duration
+    if args.command == "baseline":
+        scenario.mode = "baseline"
+        flags = {"q": args.q, "c": args.c, "pacing_bps": args.pacing_bps}
+        scenario.baseline = dataclasses.replace(
+            scenario.baseline, **{k: v for k, v in flags.items() if v is not None}
+        )
+    elif args.model is not None:
         scenario.model_path = args.model
-    model = load_model(scenario.model_path) if scenario.model_path else None
-    result = run_scenario(scenario, model=model, metrics_path=args.out)
-    if result.metrics_path:
-        print(f"metrics: {result.metrics_path}")
-    print(result.summary.to_text())
-    return 0
-
-
-def _cmd_baseline(args) -> int:
-    scenario = load_scenario(args.scenario)
-    _apply_run_overrides(scenario, args)
-    scenario.mode = "baseline"
-    flags = {"q": args.q, "c": args.c, "pacing_bps": args.pacing_bps}
-    scenario.baseline = dataclasses.replace(
-        scenario.baseline, **{k: v for k, v in flags.items() if v is not None}
-    )
     result = run_scenario(scenario, metrics_path=args.out)
     if result.metrics_path:
         print(f"metrics: {result.metrics_path}")
@@ -131,25 +117,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=METRICS, default="mean_ptp")
     p.set_defaults(func=_cmd_minrate)
 
-    p = sub.add_parser("run", help="execute a scenario file")
-    p.add_argument("--scenario", required=True, help="scenario YAML path")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override scan-source and link seeds")
-    p.add_argument("--duration", type=float, default=None, help="override duration (s)")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--scenario", required=True, help="scenario YAML path")
+    common.add_argument("--seed", type=int, default=None,
+                        help="override scan-source and link seeds")
+    common.add_argument("--duration", type=float, default=None, help="override duration (s)")
+    common.add_argument("--out", default=None, help="override metrics CSV path")
+
+    p = sub.add_parser("run", parents=[common], help="execute a scenario file")
     p.add_argument("--model", default=None, help="override rate model path")
-    p.add_argument("--out", default=None, help="override metrics CSV path")
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("baseline", help="fixed-config run: no feedback, fixed pacing")
-    p.add_argument("--scenario", required=True, help="scenario YAML path")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override scan-source and link seeds")
-    p.add_argument("--duration", type=float, default=None, help="override duration (s)")
+    p = sub.add_parser("baseline", parents=[common],
+                       help="fixed-config run: no feedback, fixed pacing")
     p.add_argument("--q", type=int, help="fixed quantization bits (default: the scenario's)")
     p.add_argument("--c", type=int, help="fixed compression level (default: the scenario's)")
     p.add_argument("--pacing-bps", type=float, help="fixed pacing rate (default: the scenario's)")
-    p.add_argument("--out", default=None, help="override metrics CSV path")
-    p.set_defaults(func=_cmd_baseline)
+    p.set_defaults(func=_cmd_run)
     return top
 
 

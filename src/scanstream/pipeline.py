@@ -22,13 +22,22 @@ then, so the train enters the link in send order as one wake per packet would.
 Nothing downstream of the encoder reads a unit's bytes, only their count,
 so each scan is sized by `measure`, never packed, and the transport carries
 byte counts.  `measure` also gives the scan's mean error, from the same
-cells, and it is held by scan id until the receiver reports it complete.
+cells, and it is held by scan id in `pending_ptp` until the scan's fate is
+known.
+
+The runner alone decides each scan's fate.  A scan is dropped at the sender
+when the sender's queue overflows, and delivered when the receiver reports
+its last fragment.  The sender finishes each frame before it starts the next
+and the link is FIFO, so the first packet of a newer scan means every older
+scan has sent all it ever will: those still pending are lost in the network.
+A scan left at the run's end is pending.
 """
 from __future__ import annotations
 
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 
@@ -166,7 +175,6 @@ class _Runner:
         self._arrivals: deque = deque()  # in due order: FIFO service
         self._feedback: deque = deque()  # in due order: made at now, due now + prop_delay
         self._counter = 0
-        self._next_pace: float | None = None  # time of the one pending pace event
         self.now = 0.0
         self._end = scenario.duration + 1e-9  # no event after this is handled
 
@@ -191,20 +199,6 @@ class _Runner:
     def _push(self, t: float, prio: int, handler, payload=None) -> None:
         heapq.heappush(self._heap, (t, prio, self._counter, handler, payload))
         self._counter += 1
-
-    def _arm_pace_timer(self) -> None:
-        """Arm the pace timer at the sender's next send time.
-
-        Each block reason has one waker: a pacing block is cleared by this
-        timer, a cwnd block by feedback, an idle sender by the next scan.
-        The sender's next send time moves only when a packet leaves, and
-        no packet leaves before it, so an armed wake is never early and
-        never superseded: at most one pace event is in the heap.  A wake
-        sends a train (see the module docstring) and arms the next past it.
-        """
-        if self._next_pace is None:
-            self._next_pace = self.sender.next_send_opportunity()
-            self._push(self._next_pace, _PACE, self._on_pace)
 
     # -------------------------------------------------------------- handlers
 
@@ -232,11 +226,15 @@ class _Runner:
             if slot is not None:
                 self._arrivals.append((slot[1], _ARRIVAL, self._counter, self._on_arrival, slot[0]))
                 self._counter += 1
+        # Each block reason has one waker: a pacing block is cleared by the
+        # pace timer armed here, a cwnd block by feedback, an idle sender by
+        # the next scan.  Only a pace wake paces a sender blocked on pacing,
+        # so at most one pace event is in the heap; no packet leaves before
+        # the next send time, so the wake is never early.
         if self.sender.blocked_reason == "pacing":
-            self._arm_pace_timer()
+            self._push(self.sender.next_send_opportunity(), _PACE, self._on_pace)
 
     def _on_pace(self, _payload) -> None:
-        self._next_pace = None
         until = min(self.now + self.link.prop_delay, self._end)
         for queue in (self._heap, self._feedback):
             if queue and queue[0][0] < until:
@@ -275,9 +273,13 @@ class _Runner:
 
     def _on_arrival(self, pkt: Packet) -> None:
         self.summary.packets_received += 1
-        for dead in self.receiver.expire_partials_below(pkt.scan_id):
-            self.pending_ptp.pop(dead, None)
-            self.summary.scans_lost_network += 1
+        if pkt.scan_id > self.receiver.newest_scan_id:
+            # a newer scan's first packet: every older one has sent all it
+            # ever will, so those still pending are lost
+            lost = list(takewhile(lambda sid: sid < pkt.scan_id, self.pending_ptp))
+            for sid in lost:
+                del self.pending_ptp[sid]
+            self.summary.scans_lost_network += len(lost)
         scan_id = self.receiver.receive_packet(pkt, self.now)
         if scan_id is not None:
             self._deliver(scan_id)
@@ -322,9 +324,7 @@ class _Runner:
 
     def _on_fb_timer(self, _payload) -> None:
         self._emit_feedback()
-        nxt = self.now + self.sc.transport.feedback_interval
-        if nxt <= self.sc.duration + 1e-9:
-            self._push(nxt, _FB_TIMER, self._on_fb_timer)
+        self._push(self.now + self.sc.transport.feedback_interval, _FB_TIMER, self._on_fb_timer)
 
     def _enc_bitrate(self) -> float:
         horizon = self.now - 1.0
@@ -367,9 +367,7 @@ class _Runner:
             ce_fraction=(d_ce / d_acked) if d_acked > 0 else 0.0,
             mean_ptp_of_delivered=ptp,
         ))
-        nxt = m + 1
-        if nxt / METRICS_TICK_HZ <= self.sc.duration + 1e-9:
-            self._push(nxt / METRICS_TICK_HZ, _METRICS, self._on_metrics, nxt)
+        self._push((m + 1) / METRICS_TICK_HZ, _METRICS, self._on_metrics, m + 1)
 
     # ------------------------------------------------------------------ loop
 

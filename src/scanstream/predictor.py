@@ -191,7 +191,10 @@ def save_model(model: RateModel, path) -> None:
 def load_model(path) -> RateModel:
     """Read a model written by save_model; a malformed one raises ValueError naming the file."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as e:
+            raise ValueError(f"model file {path} is not JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"model file {path} holds a {type(doc).__name__}, not a JSON object")
     if doc.get("format") != MODEL_FORMAT:
@@ -200,17 +203,17 @@ def load_model(path) -> RateModel:
                if k not in doc]
     if missing:
         raise ValueError(f"model file {path} lacks {', '.join(missing)}")
-    vectors = {k: np.array(doc[k], dtype=np.float64)
-               for k in ("coef", "feature_center", "feature_scale")}
+    try:
+        vectors = {k: np.array(doc[k], dtype=np.float64)
+                   for k in ("coef", "feature_center", "feature_scale")}
+        scalars = {k: float(doc[k]) for k in ("intercept", "scan_hz")}
+        diagnostics = dict(doc.get("diagnostics", {}))
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"malformed model file {path}: {e}") from None
     for k, v in vectors.items():
         if v.shape != (len(FEATURE_NAMES),):
             raise ValueError(f"{k} in {path} has shape {v.shape}, not ({len(FEATURE_NAMES)},)")
-    return RateModel(
-        **vectors,
-        intercept=float(doc["intercept"]),
-        scan_hz=float(doc["scan_hz"]),
-        diagnostics=dict(doc.get("diagnostics", {})),
-    )
+    return RateModel(**vectors, **scalars, diagnostics=diagnostics)
 
 
 def write_samples(path, samples: list[RateSample]) -> None:

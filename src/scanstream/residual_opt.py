@@ -230,22 +230,26 @@ def read_table(path) -> ResidualTable:
         missing = [k for k in _COLUMNS if k not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"residual table lacks column {', '.join(missing)} in {path}")
-        rows = [
-            TableRow(
-                q=int(row["q"]),
-                c=int(row["c"]),
-                mean_ptp=float(row["mean_ptp"]),
-                max_ptp=float(row["max_ptp"]),
-                l2_norm=float(row["l2_norm"]),
-                measured_bps=float(row["measured_bps"]),
-            )
-            for row in reader
-        ]
+        try:  # a short row reads None in its missing fields
+            rows = [
+                TableRow(
+                    q=int(row["q"]),
+                    c=int(row["c"]),
+                    mean_ptp=float(row["mean_ptp"]),
+                    max_ptp=float(row["max_ptp"]),
+                    l2_norm=float(row["l2_norm"]),
+                    measured_bps=float(row["measured_bps"]),
+                )
+                for row in reader
+            ]
+            scan_hz = float(fields["scan_hz"])
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"malformed residual table {path}: {e}") from None
     if not rows:
         raise ValueError(f"residual table has no rows in {path}")
     return ResidualTable(
         rows=rows,
-        scan_hz=float(fields["scan_hz"]),
+        scan_hz=scan_hz,
         aggregate=fields["aggregate"],
         corpus_id=fields.get("corpus", ""),
     )

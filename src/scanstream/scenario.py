@@ -24,7 +24,7 @@ from .netem import LinkConfig, read_trace
 from .predictor import ConfigFloor
 from .residual_opt import RateBounds
 from .scangen import SensorProfile
-from .transport import TransportParams
+from .transport import PACKET_HEADER_BYTES, TransportParams
 
 SCENARIO_VERSION = 1
 MODES = ("adaptive", "baseline")
@@ -76,9 +76,17 @@ class Scenario:
         if not (0 < self.duration < math.inf):
             raise ScenarioError(f"duration must be positive and finite, got {self.duration}")
         self.control.validate()
-        if self.mode == "adaptive" and self.model_path is not None:
-            if not os.path.exists(self.model_path):
+        if self.mode == "adaptive":
+            if self.model_path is not None and not os.path.exists(self.model_path):
                 raise ScenarioError(f"model file does not exist: {self.model_path}")
+            # the window starts at w_min and only feedback grows it: a larger
+            # first fragment could never leave, so no feedback would ever come
+            wire = self.transport.mtu_payload + PACKET_HEADER_BYTES
+            if wire > self.control.w_min:
+                raise ScenarioError(
+                    f"transport.mtu_payload {self.transport.mtu_payload} plus a"
+                    f" {PACKET_HEADER_BYTES} B header exceeds control.w_min {self.control.w_min}"
+                )
         if self.mode == "baseline" and not (0 < self.baseline.pacing_bps < math.inf):
             raise ScenarioError("baseline pacing_bps must be positive and finite")
 

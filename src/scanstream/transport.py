@@ -10,10 +10,13 @@ packets leave spread out rather than in clumps.
 The emulated link never corrupts or reorders anything, and only a unit's
 length decides how it travels, so units and packets carry byte counts,
 not bytes: the sender fragments a unit's byte count, and the receiver
-counts the fragments of each scan until all have arrived.
+counts the fragments of each scan until all have arrived.  The sender
+finishes each frame before it starts the next, so the receiver holds one
+scan at a time.
 
 There is no retransmission.  Late or lost scan data is worthless to the
-consumer, so loss surfaces as missing scans plus controller backoff.
+consumer, so loss surfaces as missing scans plus controller backoff; the
+runner, not the receiver, counts a scan lost.
 """
 from __future__ import annotations
 
@@ -208,12 +211,6 @@ class DatagramSender:
         cc_state.bytes_in_flight -= settled
 
 
-@dataclass
-class _PartialScan:
-    frag_count: int
-    received: int = 0
-
-
 class DatagramReceiver:
     """Receiver half: loss/CE accounting, reassembly, feedback snapshots."""
 
@@ -228,17 +225,23 @@ class DatagramReceiver:
         self.newest_arrival_time = 0.0
         self.packets_since_report = 0
         self.last_report_time = 0.0
-        self._partial: dict[int, _PartialScan] = {}
+        # the one scan being reassembled: the newest scan id seen, its
+        # fragment count and its fragments received
+        self.newest_scan_id = -1
+        self._frag_count = 0
+        self._received = 0
 
     def receive_packet(self, pkt: Packet, now: float) -> int | None:
         """Account one arrival; returns the scan id when its last fragment lands.
 
         The forward path is a FIFO link, so packets arrive in seq order and
-        any gap is loss; an already-seen seq can only be a duplicate.  The
-        sender fragments each unit once under fresh seqs, so rejecting seen
-        seqs leaves each fragment counted once, and a completed scan is
-        never delivered again.  A seen seq moves no counter, and a fragment
-        whose count disagrees with its scan's first never counts toward it.
+        any gap is loss; an already-seen seq can only be a duplicate, and
+        moves no counter.  The sender finishes each frame before it starts
+        the next, so at most one scan is ever partly assembled: a newer
+        scan's first fragment takes its place, and a fragment of an older
+        scan is ignored.  A fragment whose count disagrees with its scan's
+        first never counts toward it, and a completed scan is never
+        completed again.
         """
         if pkt.seq <= self.highest_seq:
             return None
@@ -252,33 +255,14 @@ class DatagramReceiver:
         self.newest_arrival_time = now
         self.packets_since_report += 1
 
-        part = self._partial.get(pkt.scan_id)
-        if part is None:
-            part = self._partial[pkt.scan_id] = _PartialScan(pkt.frag_count)
-        if pkt.frag_count != part.frag_count:
+        if pkt.scan_id > self.newest_scan_id:
+            self.newest_scan_id, self._frag_count, self._received = pkt.scan_id, pkt.frag_count, 0
+        elif pkt.scan_id < self.newest_scan_id:
             return None
-        part.received += 1
-        if part.received < part.frag_count:
+        if pkt.frag_count != self._frag_count:
             return None
-        del self._partial[pkt.scan_id]
-        return pkt.scan_id
-
-    def expire_partials_below(self, scan_id: int) -> list[int]:
-        """Drop partial scans older than an arriving one; returns their ids.
-
-        Frames leave the sender in scan order over an in-order link, so once
-        any fragment of a newer scan arrives, missing fragments of older
-        scans can never show up: that reassembly state is dead.  For the
-        same reason scans enter the partial table in ascending id, so its
-        first key is its oldest.
-        """
-        partial = self._partial
-        if not partial or next(iter(partial)) >= scan_id:
-            return []
-        dead = [sid for sid in partial if sid < scan_id]
-        for sid in dead:
-            del partial[sid]
-        return dead
+        self._received += 1  # past the count once complete: never complete again
+        return pkt.scan_id if self._received == self._frag_count else None
 
     def should_report(self, now: float) -> bool:
         if self.packets_since_report >= self.params.feedback_every_packets:

@@ -197,8 +197,8 @@ def tiny_mtu_scenario(bounds, duration=3.0):
     100 B fragments make pacing per packet the dominant cost. The 3 kB queue
     holds 2.4 ms at 10 Mbps, under the 5 ms CE threshold, so tail drops are
     the main congestion signal, and the 3-10 Mbps random walk keeps the
-    controller cutting: loss cuts, receiver gaps, expired partial scans and
-    lost sequence numbers leaving the in-flight ledger all happen here.
+    controller cutting: loss cuts, receiver gaps, scans lost in the network
+    and lost sequence numbers leaving the in-flight ledger all happen here.
     """
     trace = random_walk_trace(duration, 0.5, 6.0e6, 0.4e6, 3.0e6, 10.0e6, seed=1)
     return Scenario(

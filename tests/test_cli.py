@@ -172,7 +172,11 @@ def test_missing_scenario_exit_1(tmp_path, capsys):
     lambda text: text.replace(" aggregate=", " agg=", 1),
     lambda text: text.replace("mean_ptp,", "mean,", 1),
     lambda text: "".join(text.splitlines(keepends=True)[:2]),  # the two header lines only
-], ids=["no-scan_hz", "no-aggregate", "no-column", "no-rows"])
+    lambda text: text.rstrip("\n").rsplit(",", 1)[0] + "\n",  # the last row is one field short
+    lambda text: text.replace("\n8,", "\neight,", 1),
+    lambda text: text.replace(" scan_hz=10.0", " scan_hz=fast", 1),
+], ids=["no-scan_hz", "no-aggregate", "no-column", "no-rows", "short-row", "text-q",
+        "text-scan_hz"])
 def test_minrate_rejects_a_malformed_table(cal_dir, tmp_path, capsys, edit):
     path = tmp_path / "table.csv"
     path.write_text(edit((cal_dir / "table.csv").read_text()))
@@ -186,10 +190,24 @@ def test_minrate_rejects_a_malformed_table(cal_dir, tmp_path, capsys, edit):
     lambda doc: {k: v for k, v in doc.items() if k != "coef"},
     lambda doc: {**doc, "coef": doc["coef"][:-1]},
     lambda doc: {**doc, "feature_scale": doc["feature_scale"] + [1.0]},
-], ids=["not-a-mapping", "no-coef", "short-coef", "long-feature_scale"])
+    lambda doc: {**doc, "intercept": None},
+    lambda doc: {**doc, "coef": [str(v) + "x" for v in doc["coef"]]},
+    lambda doc: {**doc, "feature_center": [[v] for v in doc["feature_center"][:-1]] + [1.0]},
+    lambda doc: {**doc, "diagnostics": [1.0]},
+], ids=["not-a-mapping", "no-coef", "short-coef", "long-feature_scale", "null-intercept",
+        "text-coef", "ragged-feature_center", "list-diagnostics"])
 def test_run_rejects_a_malformed_model(cal_dir, scenario_path, tmp_path, capsys, edit):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(edit(json.loads((cal_dir / "model.json").read_text()))))
+    rc = cli(["run", "--scenario", str(scenario_path), "--model", str(path), "--duration", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+def test_run_rejects_a_model_that_is_not_json(scenario_path, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text('{"format": ')
     rc = cli(["run", "--scenario", str(scenario_path), "--model", str(path), "--duration", "1"])
     assert rc == 1
     err = capsys.readouterr().err

@@ -30,7 +30,6 @@ class _OnePacketPerWake(_Runner):
     """Each wake sends only the packets due at its own instant."""
 
     def _on_pace(self, _payload) -> None:
-        self._next_pace = None
         self._pace(self.now)
 
 

@@ -148,6 +148,21 @@ def test_baseline_sheds_at_sender_when_pacing_lags(baseline_short):
     assert math.isnan(s.rate_tracking_error)
 
 
+@pytest.mark.parametrize("seed", [3, 5, 11])
+def test_a_scan_whose_every_packet_is_lost_counts_as_lost(bounds, seed):
+    # one packet per scan, so each random loss loses a whole scan, and no
+    # fragment of it ever reaches the receiver
+    scenario = make_scenario(bounds, mode="baseline", capacity=10.0e6)
+    scenario.link = dataclasses.replace(scenario.link, loss_rate=0.10, rng_seed=seed)
+    scenario.transport = TransportParams(mtu_payload=65535)
+    s = run_scenario(scenario).summary
+    assert s.packets_sent == s.scans_generated - s.scans_dropped_sender
+    assert s.packets_random_lost > 0 and s.packets_tail_dropped == 0
+    assert s.scans_lost_network == s.packets_random_lost
+    assert s.scans_pending == 0
+    assert s.conservation_ok
+
+
 def test_adaptive_run_requires_model(bounds):
     scn = make_scenario(bounds, duration=1.0)
     with pytest.raises(RunError, match="rate model"):
@@ -269,9 +284,10 @@ def test_feedback_at_a_pace_instant_does_not_stall_the_sender(bounds, model, mon
         on_scan(self, k)
         if k == 0:
             assert self.sender.blocked_reason == "pacing"
-            collisions.append(self._next_pace)
+            wake = self.sender.next_send_opportunity()  # the pending pace event's time
+            collisions.append(wake)
             report = self.receiver.make_feedback(self.now)
-            self._push(self._next_pace, _FEEDBACK, self._on_feedback, report)
+            self._push(wake, _FEEDBACK, self._on_feedback, report)
 
     monkeypatch.setattr(_Runner, "_on_scan", on_scan_then_feedback)
     with probe_pacing() as probe:

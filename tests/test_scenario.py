@@ -287,6 +287,25 @@ def test_baseline_mode_rejects_nonpositive_pacing(tmp_path):
         load_scenario(write_scenario(tmp_path, doc))
 
 
+@pytest.mark.parametrize("mtu, w_min, mode, loads", [
+    (2973, 3000.0, "adaptive", True),  # 2973 + 27 header bytes: exactly w_min
+    (2974, 3000.0, "adaptive", False),
+    (9000, 3000.0, "adaptive", False),
+    (9000, 9027.0, "adaptive", True),
+    (9000, 3000.0, "baseline", True),  # no window gate without a controller
+])
+def test_adaptive_first_fragment_must_fit_w_min(tmp_path, mtu, w_min, mode, loads):
+    # the window starts at w_min: a larger first fragment never passes the
+    # gate, so the sender would never send and no feedback would ever come
+    doc = dict(MINIMAL, mode=mode, transport={"mtu_payload": mtu}, control={"w_min": w_min})
+    path = write_scenario(tmp_path, doc)
+    if loads:
+        assert load_scenario(path).transport.mtu_payload == mtu
+    else:
+        with pytest.raises(ScenarioError, match=r"transport\.mtu_payload .*control\.w_min"):
+            load_scenario(path)
+
+
 def test_bad_velocity_raises(tmp_path):
     doc = dict(MINIMAL)
     doc["scan_source"] = dict(MINIMAL["scan_source"], velocity="fast")

@@ -72,7 +72,7 @@ def test_reassembly_delivers_scan_on_last_fragment():
     assert len(sent) > 1
     got = [receiver.receive_packet(pkt, t + 0.02) for t, pkt in sent]
     assert got == [None] * (len(sent) - 1) + [42]
-    assert receiver.expire_partials_below(43) == []  # nothing left half-assembled
+    assert receiver_counters(receiver)[-1] == (42, len(sent), len(sent))  # one slot, whole
 
 
 def test_enqueue_rejects_an_empty_unit():
@@ -298,7 +298,7 @@ def receiver_counters(receiver):
             receiver.cumulative_ce_bytes, receiver.cumulative_lost_packets,
             receiver.newest_send_time, receiver.newest_arrival_time,
             receiver.packets_since_report,
-            {sid: part.received for sid, part in receiver._partial.items()})
+            (receiver.newest_scan_id, receiver._frag_count, receiver._received))
 
 
 def test_gap_counts_losses():
@@ -369,7 +369,7 @@ def test_fragment_count_mismatch_never_counts_toward_its_scan():
     assert receiver.receive_packet(Packet(1, 0, 0, 2, 0.0, ECT1, 1), 0.1) is None
     # a fresh seq claiming another fragment count for scan 0 is ignored
     assert receiver.receive_packet(Packet(2, 0, 1, 3, 0.0, ECT1, 1), 0.2) is None
-    assert receiver._partial[0].received == 1
+    assert receiver_counters(receiver)[-1] == (0, 2, 1)
     assert receiver.receive_packet(Packet(3, 0, 1, 2, 0.0, ECT1, 1), 0.3) == 0
 
 
@@ -387,23 +387,35 @@ def test_exactly_once_per_scan():
     assert receiver_counters(receiver) == before
 
 
-def test_expire_partials_below_clears_dead_state():
+def test_a_newer_scans_first_fragment_replaces_a_partial_one():
     receiver = DatagramReceiver(TransportParams())
     # scan 0 loses its second fragment, scan 1 then completes
-    receiver.receive_packet(Packet(1, 0, 0, 2, 0.0, ECT1, 1), 0.1)
-    assert receiver.expire_partials_below(1) == [0]
-    assert receiver.expire_partials_below(1) == []
+    assert receiver.receive_packet(Packet(1, 0, 0, 2, 0.0, ECT1, 1), 0.1) is None
+    assert receiver.receive_packet(Packet(3, 1, 0, 2, 0.0, ECT1, 1), 0.2) is None
+    assert receiver_counters(receiver)[-1] == (1, 2, 1)
+    assert receiver.receive_packet(Packet(4, 1, 1, 2, 0.0, ECT1, 1), 0.3) == 1
 
 
-def test_expire_partials_below_keeps_the_arriving_and_newer_scans():
+def test_an_older_scans_fragment_after_a_newer_one_is_ignored():
     receiver = DatagramReceiver(TransportParams())
     for seq, scan_id in enumerate((2, 3, 5), start=1):
         receiver.receive_packet(Packet(seq, scan_id, 0, 2, 0.0, ECT1, 1), 0.1)
-    assert receiver.expire_partials_below(2) == []
-    assert receiver.expire_partials_below(5) == [2, 3]
-    assert list(receiver._partial) == [5]
-    assert receiver.expire_partials_below(5) == []
-    assert list(receiver._partial) == [5]
+    assert receiver_counters(receiver)[-1] == (5, 2, 1)
+    # a fresh seq of scan 3 still counts as an arrival, but never toward a scan
+    assert receiver.receive_packet(Packet(4, 3, 1, 2, 0.0, ECT1, 1), 0.2) is None
+    assert receiver.highest_seq == 4 and receiver.packets_since_report == 4
+    assert receiver_counters(receiver)[-1] == (5, 2, 1)
+    assert receiver.receive_packet(Packet(5, 5, 1, 2, 0.0, ECT1, 1), 0.3) == 5
+
+
+def test_a_completed_scan_is_never_completed_again():
+    receiver = DatagramReceiver(TransportParams())
+    assert receiver.receive_packet(Packet(1, 7, 0, 1, 0.0, ECT1, 1), 0.1) == 7
+    # fresh seqs claiming more fragments of scan 7, whatever their count
+    for seq in (2, 3):
+        assert receiver.receive_packet(Packet(seq, 7, 0, 1, 0.0, ECT1, 1), 0.2) is None
+    assert receiver.receive_packet(Packet(4, 7, 1, 2, 0.0, ECT1, 1), 0.3) is None
+    assert receiver.newest_scan_id == 7
 
 
 def test_params_validation():
