@@ -94,7 +94,7 @@ class CompressionConfig:
     c: int
     tight_bbox: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (isinstance(self.q, int) and Q_MIN <= self.q <= Q_MAX):
             raise ConfigError(f"q must be an integer in [{Q_MIN}, {Q_MAX}], got {self.q}")
         if not (isinstance(self.c, int) and C_MIN <= self.c <= C_MAX):
@@ -250,7 +250,6 @@ def _payload_nbytes(n: int, permuted: bool, plan: _Plan) -> int:
 
 def encode(scan: PointCloudScan, config: CompressionConfig) -> EncodedUnit:
     """Compress a scan; raises OutOfRangeError for points outside the bbox."""
-    config.validate()
     n = scan.n_points
     bbox, _, hi, lo = _codes(scan, config.q, config.tight_bbox)
     order = bitpack.sort_order(hi, lo)
@@ -296,7 +295,6 @@ def measure(scan: PointCloudScan, config: CompressionConfig) -> tuple[int, float
     encode stores a perm stream unless its stable sort order is the identity:
     unless the codes are nondecreasing in capture order.  Rejects what encode rejects.
     """
-    config.validate()
     bbox, cells, hi, lo = _codes(scan, config.q, config.tight_bbox)
     shi, slo = bitpack.sorted_codes(hi, lo)
     permuted = not (np.array_equal(slo, lo) and (hi is None or np.array_equal(shi, hi)))
@@ -328,7 +326,7 @@ def sweep(
     """
     for q in qs:
         for c in cs:
-            CompressionConfig(q, c, tight_bbox).validate()
+            CompressionConfig(q, c, tight_bbox)
     _check_scan_size(scan)
     n = scan.n_points
     bbox = _coding_bbox(scan, tight_bbox)
@@ -424,7 +422,7 @@ def decode(unit: EncodedUnit) -> PointCloudScan:
 
 def reconstruct(scan: PointCloudScan, q: int, tight_bbox: bool = False) -> PointCloudScan:
     """The points every unit of `scan` at quantization q decodes to, without encoding."""
-    CompressionConfig(q, C_MIN, tight_bbox).validate()
+    CompressionConfig(q, C_MIN, tight_bbox)  # rejects a q off the grid
     bbox = _coding_bbox(scan, tight_bbox)
     points = _dequantize(_quantize(scan.points, bbox, q), bbox, q)
     return PointCloudScan(points=points, scan_id=scan.scan_id, n_valid=scan.n_valid)

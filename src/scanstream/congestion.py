@@ -33,7 +33,7 @@ class ControlParams:
     mss: int = 1200
     owd_window: float = 10.0  # seconds of one-way-delay history for the min filter
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
             raise ValueError(f"every parameter must be finite, got {self}")
         if self.overshoot_factor < 1:
@@ -87,7 +87,6 @@ class CongestionState:
 
 
 def init_state(params: ControlParams, r_min: float, r_max: float) -> CongestionState:
-    params.validate()
     if not (0 < r_min <= r_max):
         raise ValueError(f"need 0 < r_min <= r_max, got ({r_min}, {r_max})")
     return CongestionState(r_min=r_min, r_max=r_max, w_ref=params.w_min, r_trg=r_min)

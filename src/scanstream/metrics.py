@@ -8,14 +8,9 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 METRICS_FORMAT = "scanstream-metrics-v1"
-
-_FLOAT_FIELDS = frozenset({
-    "t", "w_ref", "bytes_in_flight", "srtt", "est_queue_delay", "r_trg",
-    "enc_bitrate", "link_capacity", "link_queue_delay", "ce_fraction",
-    "mean_ptp_of_delivered",
-})
 
 
 @dataclass(frozen=True)
@@ -39,6 +34,7 @@ class MetricsRow:
 
 
 COLUMNS = tuple(f.name for f in fields(MetricsRow))
+_FLOAT_FIELDS = frozenset(name for name, t in get_type_hints(MetricsRow).items() if t is float)
 
 
 def write_metrics(path, rows: list[MetricsRow]) -> None:

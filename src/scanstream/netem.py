@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transport import ECT1, CE, PACKET_HEADER_BYTES, Packet
+from .transport import ECT1, CE, Packet
 
 
 class TraceError(ValueError):
@@ -119,7 +119,7 @@ class BottleneckLink:
         The returned packet is the one to deliver: it carries a CE mark when
         its queuing delay exceeded the threshold and it arrived ECT(1).
         """
-        wire = PACKET_HEADER_BYTES + pkt.payload_len
+        wire = pkt.wire_bytes
         ledger = self.ledger
         ledger.offered += 1
         if self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:

@@ -55,7 +55,7 @@ from .netem import BottleneckLink
 from .predictor import RateModel, build_grid, load_model, select_from_grid
 from .scangen import ScanGenerator
 from .scenario import Scenario
-from .transport import DatagramReceiver, DatagramSender, Packet, packet_wire_size
+from .transport import DatagramReceiver, DatagramSender, Packet
 
 # Event priorities at equal timestamps. Deliveries and feedback settle before
 # the encoder picks a config for that instant; metrics snapshots run last so
@@ -163,13 +163,11 @@ class _Runner:
             self.grid = build_grid(self.model, self.n_points)
             self.floor = scenario.bounds.floor
             self.r_ceiling = float(np.max(self.grid.predicted_bps))
-            base_cfg = None
+            self.base_cfg = None
         else:
-            base_cfg = CompressionConfig(
+            self.base_cfg = CompressionConfig(
                 scenario.baseline.q, scenario.baseline.c, scenario.tight_bbox
             )
-            base_cfg.validate()
-        self.base_cfg = base_cfg
 
         self._heap: list = []  # scan, metrics tick, feedback timer, pace wake
         self._arrivals: deque = deque()  # in due order: FIFO service
@@ -192,7 +190,6 @@ class _Runner:
         self._all_ptp_sum = 0.0
         self._all_ptp_worst = float("nan")
         self._rate_err_sum = 0.0
-        self._rate_err_n = 0
 
     # ------------------------------------------------------------ scheduling
 
@@ -212,9 +209,9 @@ class _Runner:
             if frac > self.summary.max_bif_fraction:
                 self.summary.max_bif_fraction = frac
             if cc.bytes_in_flight > cap * (1.0 + 1e-9):
-                bif = cc.bytes_in_flight - sum(map(packet_wire_size, packets))
+                bif = cc.bytes_in_flight - sum(pkt.wire_bytes for pkt in packets)
                 for pkt in packets:  # name the packet that broke the bound
-                    bif += packet_wire_size(pkt)
+                    bif += pkt.wire_bytes
                     if bif > cap * (1.0 + 1e-9):
                         break
                 raise RunError(
@@ -266,7 +263,6 @@ class _Runner:
         if self.adaptive:
             r_cmd = min(self.cc.r_trg, self.r_ceiling)
             self._rate_err_sum += abs(bits * self.sc.scan_hz - r_cmd) / r_cmd
-            self._rate_err_n += 1
         nxt = k + 1
         if nxt / self.sc.scan_hz < self.sc.duration - 1e-9:
             self._push(nxt / self.sc.scan_hz, _SCAN, self._on_scan, nxt)
@@ -419,8 +415,8 @@ class _Runner:
             s.mean_queue_delay = float(np.mean(delays))
             s.p95_queue_delay = float(np.percentile(delays, 95))
             s.max_queue_delay = float(np.max(delays))
-        if self._rate_err_n:
-            s.rate_tracking_error = self._rate_err_sum / self._rate_err_n
+        if self.adaptive and s.scans_generated:  # every adaptive scan is rated
+            s.rate_tracking_error = self._rate_err_sum / s.scans_generated
         if s.scans_delivered:
             s.mean_ptp_mean = self._all_ptp_sum / s.scans_delivered
             s.mean_ptp_worst = self._all_ptp_worst

@@ -59,7 +59,7 @@ class ConfigFloor:
 
     min_q: int = Q_MIN
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (Q_MIN <= self.min_q <= Q_MAX):
             raise ValueError(f"min_q must be in [{Q_MIN}, {Q_MAX}], got {self.min_q}")
 
@@ -161,10 +161,7 @@ def select_from_grid(grid: ConfigGrid, r_trg: float, floor: ConfigFloor) -> Comp
     """
     if not (np.isfinite(r_trg) and r_trg > 0):
         raise SelectionError(f"target bitrate must be positive and finite, got {r_trg}")
-    mask = grid.qs >= floor.min_q
-    if not mask.any():
-        raise SelectionError(f"no grid entries with q >= {floor.min_q}")
-    idx = np.flatnonzero(mask)
+    idx = np.flatnonzero(grid.qs >= floor.min_q)
     diff = np.abs(grid.predicted_bps[idx] - r_trg)
     best = idx[np.lexsort((grid.cs[idx], -grid.qs[idx], diff))[0]]
     return CompressionConfig(q=int(grid.qs[best]), c=int(grid.cs[best]))

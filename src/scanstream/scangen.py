@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .codec import PointCloudScan
+from .codec import MAX_POINTS, PointCloudScan
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,8 @@ class SensorProfile:
             raise ValueError(f"every field must be finite, got {self}")
         if self.rings < 1 or self.azimuth_steps < 1:
             raise ValueError("rings and azimuth_steps must be >= 1")
+        if self.n_points > MAX_POINTS:
+            raise ValueError(f"{self.n_points} points exceed the codec's limit of {MAX_POINTS}")
         if self.elev_min_deg >= self.elev_max_deg:
             raise ValueError("need elev_min_deg < elev_max_deg")
         if not (0 < self.min_range < self.max_range):

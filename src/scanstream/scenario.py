@@ -7,6 +7,9 @@ defaults and types; a few keys are renamed (`model`, `metrics`,
 `encoder.tight_bbox`, `rate_bounds.floor_q`, `link.trace`/`trace_file`).
 Unknown keys and wrong-typed values are rejected rather than ignored so
 config typos fail loudly instead of silently running defaults.
+
+Every config checks its own ranges once, when it is built, and nothing
+re-checks it.  Only `Scenario` stays mutable, so `run_scenario` checks it again.
 """
 from __future__ import annotations
 
@@ -49,8 +52,8 @@ class BaselineConfig:
     c: int = 0
     pacing_bps: float = 3.5e6
 
-    def validate(self) -> None:
-        CompressionConfig(self.q, self.c).validate()
+    def __post_init__(self) -> None:
+        CompressionConfig(self.q, self.c)  # rejects knobs off the codec's grid
 
 
 @dataclass
@@ -68,6 +71,9 @@ class Scenario:
     metrics_path: str | None = None
     tight_bbox: bool = False
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ScenarioError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -75,7 +81,6 @@ class Scenario:
             raise ScenarioError(f"scan_hz must be positive and finite, got {self.scan_hz}")
         if not (0 < self.duration < math.inf):
             raise ScenarioError(f"duration must be positive and finite, got {self.duration}")
-        self.control.validate()
         if self.mode == "adaptive":
             if self.model_path is not None and not os.path.exists(self.model_path):
                 raise ScenarioError(f"model file does not exist: {self.model_path}")
@@ -132,19 +137,16 @@ def _build(cls, raw, where: str, **given):
     """cls from the section `raw`, whose keys are the fields of cls not in `given`.
 
     Keys, defaults and types come from the dataclass itself; a value must
-    have its field's type (see `_coerce`).  Any error from construction or
-    from the instance's `validate()` is raised as a ScenarioError.
+    have its field's type (see `_coerce`).  Any error from construction,
+    where each config checks itself, is raised as a ScenarioError.
     """
     _reject_unknown(_mapping(raw, where), {f.name for f in fields(cls)} - given.keys(), where)
     types = _field_types(cls)
     kwargs = {key: _coerce(value, types[key], f"{where}.{key}") for key, value in raw.items()}
     try:
-        obj = cls(**kwargs, **given)
-        if hasattr(obj, "validate"):
-            obj.validate()
+        return cls(**kwargs, **given)
     except (TypeError, ValueError) as e:
         raise ScenarioError(f"{where}: {e}") from None
-    return obj
 
 
 def _build_source(raw) -> ScanSourceConfig:

@@ -9,10 +9,11 @@ packets leave spread out rather than in clumps.
 
 The emulated link never corrupts or reorders anything, and only a unit's
 length decides how it travels, so units and packets carry byte counts,
-not bytes: the sender fragments a unit's byte count, and the receiver
-counts the fragments of each scan until all have arrived.  The sender
-finishes each frame before it starts the next, so the receiver holds one
-scan at a time.
+not bytes: the sender fragments a unit's byte count and gives each packet
+its wire size, header included, which the link and both ends charge.  The
+receiver counts the fragments of each scan until all have arrived.  The
+sender finishes each frame before it starts the next, so the receiver
+holds one scan at a time.
 
 There is no retransmission.  Late or lost scan data is worthless to the
 consumer, so loss surfaces as missing scans plus controller backoff; the
@@ -44,11 +45,7 @@ class Packet:
     frag_count: int
     send_time: float
     ecn: int
-    payload_len: int
-
-
-def packet_wire_size(pkt: Packet) -> int:
-    return PACKET_HEADER_BYTES + pkt.payload_len
+    wire_bytes: int  # header included
 
 
 @dataclass(frozen=True)
@@ -59,7 +56,7 @@ class TransportParams:
     feedback_interval: float = 0.010  # seconds
     feedback_every_packets: int = 2
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
             raise ValueError(f"every parameter must be finite, got {self}")
         if self.mtu_payload <= 0 or self.mtu_payload > 65535:
@@ -86,7 +83,6 @@ class DatagramSender:
     """Sender half: unit queue, fragmentation, window gate, pacer."""
 
     def __init__(self, params: TransportParams):
-        params.validate()
         self.params = params
         self.queue: deque[tuple[int, int]] = deque()  # (scan id, unit bytes)
         self.next_seq = 1  # seq 0 means "nothing acked yet": next_seq - 1 packets sent
@@ -157,8 +153,7 @@ class DatagramSender:
                 self._frame = _Frame(scan_id, nbytes, frag_count)
             frame = self._frame
             sent_bytes = frame.next_index * mtu  # every fragment but the last is full
-            payload_len = min(mtu, frame.nbytes - sent_bytes)
-            wire = PACKET_HEADER_BYTES + payload_len
+            wire = PACKET_HEADER_BYTES + min(mtu, frame.nbytes - sent_bytes)
             if cc_state is not None and not can_send(cc_state, cc_params, wire, sent_bytes):
                 self.blocked_reason = "cwnd"
                 break
@@ -168,9 +163,9 @@ class DatagramSender:
                     break
                 now = self._next_send
             seq = self.next_seq
-            # seq, scan_id, frag_index, frag_count, send_time, ecn, payload_len
+            # seq, scan_id, frag_index, frag_count, send_time, ecn, wire_bytes
             out.append(Packet(seq, frame.scan_id, frame.next_index, frame.frag_count,
-                              now, ECT1, payload_len))
+                              now, ECT1, wire))
             self.next_seq = seq + 1
             self.sent_wire_bytes += wire
             self._next_send = now + wire / rate_bytes
@@ -215,7 +210,6 @@ class DatagramReceiver:
     """Receiver half: loss/CE accounting, reassembly, feedback snapshots."""
 
     def __init__(self, params: TransportParams):
-        params.validate()
         self.params = params
         self.highest_seq = 0
         self.cumulative_acked_bytes = 0
@@ -247,7 +241,7 @@ class DatagramReceiver:
             return None
         self.cumulative_lost_packets += pkt.seq - self.highest_seq - 1
         self.highest_seq = pkt.seq
-        wire = PACKET_HEADER_BYTES + pkt.payload_len
+        wire = pkt.wire_bytes
         self.cumulative_acked_bytes += wire
         if pkt.ecn == CE:
             self.cumulative_ce_bytes += wire

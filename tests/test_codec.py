@@ -47,12 +47,12 @@ def make_scan(n, seed=0, scan_id=0):
 @pytest.mark.parametrize("q,c", [(7, 0), (25, 0), (8, -1), (8, 10)])
 def test_config_rejects_out_of_grid(q, c):
     with pytest.raises(ConfigError):
-        CompressionConfig(q, c).validate()
+        CompressionConfig(q, c)
 
 
 def test_config_accepts_grid_corners():
     for q, c in [(8, 0), (8, 9), (24, 0), (24, 9)]:
-        CompressionConfig(q, c).validate()
+        CompressionConfig(q, c)
 
 
 # -------------------------------------------------------------- round trip

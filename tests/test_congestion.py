@@ -231,12 +231,12 @@ def test_state_invariants_under_random_feedback(steps):
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        ControlParams(overshoot_factor=0.5).validate()
+        ControlParams(overshoot_factor=0.5)
     with pytest.raises(ValueError):
-        ControlParams(loss_beta=1.0).validate()
+        ControlParams(loss_beta=1.0)
     with pytest.raises(ValueError):
-        ControlParams(w_min=0.0).validate()
+        ControlParams(w_min=0.0)
     with pytest.raises(ValueError):
-        ControlParams(owd_window=-1.0).validate()
+        ControlParams(owd_window=-1.0)
     with pytest.raises(ValueError):
         init_state(PARAMS, 10e6, 3e6)

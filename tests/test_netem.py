@@ -11,12 +11,12 @@ from scanstream.netem import (
     read_trace,
     step_trace,
 )
-from scanstream.transport import CE, ECT1, NOT_ECT, Packet, packet_wire_size
+from scanstream.transport import CE, ECT1, NOT_ECT, Packet
 
 
-def pkt(seq, size=1200, ecn=ECT1, scan_id=0):
+def pkt(seq, wire=1227, ecn=ECT1, scan_id=0):
     return Packet(seq=seq, scan_id=scan_id, frag_index=0, frag_count=1,
-                  send_time=0.0, ecn=ecn, payload_len=size)
+                  send_time=0.0, ecn=ecn, wire_bytes=wire)
 
 
 def link(capacity=8e6, **kw):
@@ -30,7 +30,7 @@ def link(capacity=8e6, **kw):
 
 def test_single_packet_delivery_time():
     lk = link(capacity=8e6, prop_delay=0.020)
-    p = pkt(1, size=973)  # wire 1000 bytes -> 1 ms at 8 Mbps
+    p = pkt(1, wire=1000)  # 1 ms at 8 Mbps
     out = lk.enqueue(p, 0.0)
     assert out is not None
     _, at = out
@@ -39,7 +39,7 @@ def test_single_packet_delivery_time():
 
 def test_fifo_serialization_spacing():
     lk = link(capacity=8e6)
-    wire = packet_wire_size(pkt(1))
+    wire = pkt(1).wire_bytes
     times = [lk.enqueue(pkt(i), 0.0)[1] for i in range(1, 6)]
     service = wire * 8.0 / 8e6
     gaps = np.diff(times)
@@ -104,7 +104,7 @@ def test_capacity_step_stretches_service():
     trace = step_trace([(0.0, 8e6), (1.0, 1e6)])
     lk = BottleneckLink(LinkConfig(capacity_trace=trace, prop_delay=0.0,
                                    queue_limit=10**9, ce_threshold=1.0))
-    wire = packet_wire_size(pkt(1))
+    wire = pkt(1).wire_bytes
     # first packet sits fully in the 8 Mbps region
     _, t1 = lk.enqueue(pkt(1), 0.0)
     assert t1 == pytest.approx(wire * 8 / 8e6)
@@ -117,7 +117,7 @@ def test_packet_straddling_a_step_splits_service():
     trace = step_trace([(0.0, 8e6), (1.0, 1e6)])
     lk = BottleneckLink(LinkConfig(capacity_trace=trace, prop_delay=0.0,
                                    queue_limit=10**9, ce_threshold=1.0))
-    wire = packet_wire_size(pkt(1))
+    wire = pkt(1).wire_bytes
     bits = wire * 8.0
     start = 1.0 - (bits / 2) / 8e6  # half the bits fit before the step
     _, at = lk.enqueue(pkt(1), start)
@@ -174,8 +174,8 @@ def test_delivery_times_match_a_full_search_across_steps():
     for i in range(1, 40):
         now = i * 1e-4
         start = max(now, busy)
-        busy, _ = reference_serialize_end(trace, start, 8.0 * packet_wire_size(pkt(i, size=73)))
-        assert lk.enqueue(pkt(i, size=73), now) == (pkt(i, size=73), busy + 0.01)
+        busy, _ = reference_serialize_end(trace, start, 8.0 * 100)
+        assert lk.enqueue(pkt(i, wire=100), now) == (pkt(i, wire=100), busy + 0.01)
 
 
 def test_capacity_at_lookup():

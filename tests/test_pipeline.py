@@ -235,7 +235,7 @@ def test_overshoot_error_names_the_packet_that_broke_the_bound(bounds, model, mo
         run_scenario(scenario, model=model)
     wake, bif, packets, cap = trains[-1]
     for crossing in packets:
-        bif += transport.packet_wire_size(crossing)
+        bif += crossing.wire_bytes
         if bif > cap:
             break
     assert packets[0].send_time == wake < crossing.send_time < packets[-1].send_time

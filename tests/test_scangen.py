@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scanstream.codec import DEFAULT_BBOX, CompressionConfig, decode, encode
+from scanstream.codec import DEFAULT_BBOX, MAX_POINTS, CompressionConfig, decode, encode
 from scanstream.scangen import ScanGenerator, SensorProfile, generate_corpus
 
 SMALL = SensorProfile(rings=8, azimuth_steps=64)
@@ -10,6 +10,7 @@ SMALL = SensorProfile(rings=8, azimuth_steps=64)
 def test_n_points_is_ring_times_azimuth():
     assert SMALL.n_points == 512
     assert SensorProfile(rings=16, azimuth_steps=448).n_points == 7168
+    assert SensorProfile(rings=4096, azimuth_steps=4096).n_points == MAX_POINTS
 
 
 @pytest.mark.parametrize(
@@ -21,6 +22,7 @@ def test_n_points_is_ring_times_azimuth():
         dict(min_range=0.0),
         dict(min_range=50.0, max_range=10.0),
         dict(noise_sigma=-1.0),
+        dict(rings=4096, azimuth_steps=4097),  # past the codec's MAX_POINTS
     ],
 )
 def test_profile_validation(kwargs):

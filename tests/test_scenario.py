@@ -11,6 +11,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scanstream.codec import Q_MAX, Q_MIN, CompressionConfig, ConfigError
 from scanstream.congestion import ControlParams
 from scanstream.netem import LinkConfig
 from scanstream.predictor import ConfigFloor
@@ -217,6 +218,8 @@ OUT_OF_RANGE_CASES = [
     # each loaded, and either ran or failed mid-run, before its section checked it
     (("scan_source", "profile"), "noise_sigma", math.nan, "finite"),
     (("scan_source", "profile"), "sensor_height", math.nan, "finite"),
+    # 8 x (2**21 + 1) points: generate would take about 900 MB before measure rejected the scan
+    (("scan_source", "profile"), "azimuth_steps", 2**21 + 1, "codec"),
     (("rate_bounds",), "floor_q", 30, "min_q"),
     (("rate_bounds",), "floor_q", 0, "min_q"),
     (("rate_bounds",), "r_max_bps", math.inf, "r_max"),
@@ -346,9 +349,9 @@ def build_params(kind, **overrides):
             control=ControlParams(),
             bounds=RateBounds(2.0e6, 8.0e6, ConfigFloor(min_q=8), epsilon=0.05),
             **overrides,
-        ).validate()
+        )
     else:
-        kind(**overrides).validate()
+        kind(**overrides)
 
 
 @pytest.mark.parametrize("kind, name", NON_FINITE_CASES,
@@ -359,6 +362,24 @@ def test_non_finite_parameter_rejected(kind, name, value):
     build_params(kind)  # the defaults are valid
     with pytest.raises(ScenarioError if kind is Scenario else ValueError):
         build_params(kind, **{name: value})
+
+
+BUILT_OUT_OF_RANGE = [
+    (CompressionConfig, {"q": Q_MIN - 1, "c": 0}, ConfigError),
+    (ConfigFloor, {"min_q": Q_MAX + 1}, ValueError),
+    (BaselineConfig, {"q": Q_MAX + 1}, ConfigError),
+    (ControlParams, {"loss_beta": 1.0}, ValueError),
+    (TransportParams, {"mtu_payload": 0}, ValueError),
+]
+
+
+@pytest.mark.parametrize("kind, values, error", BUILT_OUT_OF_RANGE,
+                         ids=[k.__name__ for k, _, _ in BUILT_OUT_OF_RANGE])
+def test_an_out_of_range_config_fails_when_built(kind, values, error):
+    # each config checks itself at construction, so no invalid one exists
+    # for a consumer to forget to check
+    with pytest.raises(error):
+        kind(**values)
 
 
 def _not_a_number(text):

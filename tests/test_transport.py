@@ -15,7 +15,6 @@ from scanstream.transport import (
     DatagramSender,
     Packet,
     TransportParams,
-    packet_wire_size,
 )
 
 PARAMS = TransportParams()
@@ -57,8 +56,10 @@ def test_fragment_count_and_sizes():
     assert len(sent) == math.ceil(BIG_UNIT / PARAMS.mtu_payload)
     assert sender.sent_wire_bytes == BIG_UNIT + len(sent) * PACKET_HEADER_BYTES
     # every fragment but the last is full
-    assert all(p.payload_len == PARAMS.mtu_payload for _, p in sent[:-1])
-    assert 0 < sent[-1][1].payload_len <= PARAMS.mtu_payload
+    full_wire = PACKET_HEADER_BYTES + PARAMS.mtu_payload
+    assert all(p.wire_bytes == full_wire for _, p in sent[:-1])
+    assert PACKET_HEADER_BYTES < sent[-1][1].wire_bytes <= full_wire
+    assert sum(p.wire_bytes for _, p in sent) == sender.sent_wire_bytes
     assert [p.frag_index for _, p in sent] == list(range(len(sent)))
     assert all(p.frag_count == len(sent) for _, p in sent)
     assert [p.seq for _, p in sent] == list(range(1, len(sent) + 1))
@@ -108,7 +109,7 @@ def test_sends_are_spaced_by_wire_over_rate(rate, mtu, sizes):
     assert sender.queue_depth == 0 and sender.blocked_reason == "idle"
     rate_bytes = params.pacing_headroom * rate / 8.0
     for (t0, p0), (t1, _) in zip(sent, sent[1:]):
-        assert t1 >= t0 + packet_wire_size(p0) / rate_bytes
+        assert t1 >= t0 + p0.wire_bytes / rate_bytes
 
 
 def test_pacing_spreads_packets():
@@ -140,7 +141,7 @@ def test_sub_packet_budget_still_makes_progress():
     assert len(sent) >= 2
     # long-run average still respects the configured rate (with headroom);
     # one full packet of slack
-    wire_bits = 8.0 * sum(packet_wire_size(p) for _, p in sent[:-1])
+    wire_bits = 8.0 * sum(p.wire_bytes for _, p in sent[:-1])
     elapsed = sent[-1][0] - sent[0][0]
     assert wire_bits <= params.pacing_headroom * rate * 1.02 * elapsed + full_wire * 8
 
@@ -209,12 +210,12 @@ def test_reconcile_inflight_forgets_lost_bytes():
     sender = DatagramSender(TransportParams())
     sender.enqueue_unit(0, BIGGER_UNIT)
     sent = drain(sender, 100e6, cc=cc, ccp=ccp)
-    total = sum(packet_wire_size(p) for _, p in sent)
+    total = sum(p.wire_bytes for _, p in sent)
     assert cc.bytes_in_flight == total
     # everything up to the second-to-last seq is acked or dead on a FIFO path
     last = sent[-1][1]
     sender.reconcile_inflight(cc, last.seq - 1)
-    assert cc.bytes_in_flight == packet_wire_size(last)
+    assert cc.bytes_in_flight == last.wire_bytes
     sender.reconcile_inflight(cc, last.seq)
     assert cc.bytes_in_flight == 0
 
@@ -257,7 +258,7 @@ def test_inflight_ledger_under_sends_acks_and_losses(ops):
             sender.enqueue_unit(*LEDGER_UNITS[arg])
             for _, pkt in drain(sender, 1e9, now=now, cc=cc, ccp=ccp, horizon=now + 0.01):
                 in_transit.append(pkt)
-                sent[pkt.seq] = per_seq[pkt.seq] = packet_wire_size(pkt)
+                sent[pkt.seq] = per_seq[pkt.seq] = pkt.wire_bytes
         elif op in ("deliver", "mark") and in_transit:
             pkt = in_transit.popleft()
             if op == "mark":
@@ -303,29 +304,29 @@ def receiver_counters(receiver):
 
 def test_gap_counts_losses():
     receiver = DatagramReceiver(TransportParams())
-    receiver.receive_packet(Packet(1, 0, 0, 9, 0.0, ECT1, 1), 0.1)
-    receiver.receive_packet(Packet(5, 0, 4, 9, 0.0, ECT1, 1), 0.2)
+    receiver.receive_packet(Packet(1, 0, 0, 9, 0.0, ECT1, 28), 0.1)
+    receiver.receive_packet(Packet(5, 0, 4, 9, 0.0, ECT1, 28), 0.2)
     assert receiver.cumulative_lost_packets == 3
     before = receiver_counters(receiver)
     # a stale seq is ignored: nothing is counted and nothing delivered
-    assert receiver.receive_packet(Packet(5, 0, 4, 9, 0.0, ECT1, 1), 0.3) is None
+    assert receiver.receive_packet(Packet(5, 0, 4, 9, 0.0, ECT1, 28), 0.3) is None
     assert receiver_counters(receiver) == before
 
 
 def test_ce_bytes_accumulate():
     receiver = DatagramReceiver(TransportParams())
-    pkt = Packet(1, 0, 0, 2, 0.0, CE, 3)
+    pkt = Packet(1, 0, 0, 2, 0.0, CE, 30)
     receiver.receive_packet(pkt, 0.1)
-    assert receiver.cumulative_ce_bytes == packet_wire_size(pkt)
-    assert receiver.cumulative_acked_bytes == packet_wire_size(pkt)
+    assert receiver.cumulative_ce_bytes == pkt.wire_bytes
+    assert receiver.cumulative_acked_bytes == pkt.wire_bytes
 
 
 def test_feedback_cadence_packets_and_time():
     params = TransportParams(feedback_every_packets=2, feedback_interval=0.010)
     receiver = DatagramReceiver(params)
-    receiver.receive_packet(Packet(1, 0, 0, 9, 0.0, ECT1, 1), 0.001)
+    receiver.receive_packet(Packet(1, 0, 0, 9, 0.0, ECT1, 28), 0.001)
     assert not receiver.should_report(0.001)
-    receiver.receive_packet(Packet(2, 0, 1, 9, 0.0, ECT1, 1), 0.002)
+    receiver.receive_packet(Packet(2, 0, 1, 9, 0.0, ECT1, 28), 0.002)
     assert receiver.should_report(0.002)
     rep = receiver.make_feedback(0.002)
     assert rep.highest_acked_seq == 2
@@ -335,7 +336,7 @@ def test_feedback_cadence_packets_and_time():
 
 def test_feedback_echoes_newest_send_time():
     receiver = DatagramReceiver(TransportParams())
-    receiver.receive_packet(Packet(1, 0, 0, 9, 0.125, ECT1, 1), 0.150)
+    receiver.receive_packet(Packet(1, 0, 0, 9, 0.125, ECT1, 28), 0.150)
     rep = receiver.make_feedback(0.150)
     assert rep.echo_timestamp == 0.125
     assert rep.receiver_timestamp == 0.150
@@ -343,8 +344,8 @@ def test_feedback_echoes_newest_send_time():
 
 def test_feedback_fills_each_report_field_by_name():
     receiver = DatagramReceiver(TransportParams())
-    receiver.receive_packet(Packet(1, 0, 0, 9, 0.125, ECT1, 11), 0.150)
-    receiver.receive_packet(Packet(4, 0, 3, 9, 0.375, CE, 13), 0.500)
+    receiver.receive_packet(Packet(1, 0, 0, 9, 0.125, ECT1, PACKET_HEADER_BYTES + 11), 0.150)
+    receiver.receive_packet(Packet(4, 0, 3, 9, 0.375, CE, PACKET_HEADER_BYTES + 13), 0.500)
     rep = receiver.make_feedback(0.625)
     assert rep.highest_acked_seq == 4
     assert rep.cumulative_acked_bytes == 2 * PACKET_HEADER_BYTES + 24
@@ -356,7 +357,7 @@ def test_feedback_fills_each_report_field_by_name():
 
 def test_feedback_report_is_immutable():
     receiver = DatagramReceiver(TransportParams())
-    receiver.receive_packet(Packet(1, 0, 0, 9, 0.125, ECT1, 1), 0.150)
+    receiver.receive_packet(Packet(1, 0, 0, 9, 0.125, ECT1, 28), 0.150)
     rep = receiver.make_feedback(0.150)
     for name in FeedbackReport._fields:
         with pytest.raises(AttributeError):
@@ -366,11 +367,11 @@ def test_feedback_report_is_immutable():
 
 def test_fragment_count_mismatch_never_counts_toward_its_scan():
     receiver = DatagramReceiver(TransportParams())
-    assert receiver.receive_packet(Packet(1, 0, 0, 2, 0.0, ECT1, 1), 0.1) is None
+    assert receiver.receive_packet(Packet(1, 0, 0, 2, 0.0, ECT1, 28), 0.1) is None
     # a fresh seq claiming another fragment count for scan 0 is ignored
-    assert receiver.receive_packet(Packet(2, 0, 1, 3, 0.0, ECT1, 1), 0.2) is None
+    assert receiver.receive_packet(Packet(2, 0, 1, 3, 0.0, ECT1, 28), 0.2) is None
     assert receiver_counters(receiver)[-1] == (0, 2, 1)
-    assert receiver.receive_packet(Packet(3, 0, 1, 2, 0.0, ECT1, 1), 0.3) == 0
+    assert receiver.receive_packet(Packet(3, 0, 1, 2, 0.0, ECT1, 28), 0.3) == 0
 
 
 def test_exactly_once_per_scan():
@@ -390,38 +391,38 @@ def test_exactly_once_per_scan():
 def test_a_newer_scans_first_fragment_replaces_a_partial_one():
     receiver = DatagramReceiver(TransportParams())
     # scan 0 loses its second fragment, scan 1 then completes
-    assert receiver.receive_packet(Packet(1, 0, 0, 2, 0.0, ECT1, 1), 0.1) is None
-    assert receiver.receive_packet(Packet(3, 1, 0, 2, 0.0, ECT1, 1), 0.2) is None
+    assert receiver.receive_packet(Packet(1, 0, 0, 2, 0.0, ECT1, 28), 0.1) is None
+    assert receiver.receive_packet(Packet(3, 1, 0, 2, 0.0, ECT1, 28), 0.2) is None
     assert receiver_counters(receiver)[-1] == (1, 2, 1)
-    assert receiver.receive_packet(Packet(4, 1, 1, 2, 0.0, ECT1, 1), 0.3) == 1
+    assert receiver.receive_packet(Packet(4, 1, 1, 2, 0.0, ECT1, 28), 0.3) == 1
 
 
 def test_an_older_scans_fragment_after_a_newer_one_is_ignored():
     receiver = DatagramReceiver(TransportParams())
     for seq, scan_id in enumerate((2, 3, 5), start=1):
-        receiver.receive_packet(Packet(seq, scan_id, 0, 2, 0.0, ECT1, 1), 0.1)
+        receiver.receive_packet(Packet(seq, scan_id, 0, 2, 0.0, ECT1, 28), 0.1)
     assert receiver_counters(receiver)[-1] == (5, 2, 1)
     # a fresh seq of scan 3 still counts as an arrival, but never toward a scan
-    assert receiver.receive_packet(Packet(4, 3, 1, 2, 0.0, ECT1, 1), 0.2) is None
+    assert receiver.receive_packet(Packet(4, 3, 1, 2, 0.0, ECT1, 28), 0.2) is None
     assert receiver.highest_seq == 4 and receiver.packets_since_report == 4
     assert receiver_counters(receiver)[-1] == (5, 2, 1)
-    assert receiver.receive_packet(Packet(5, 5, 1, 2, 0.0, ECT1, 1), 0.3) == 5
+    assert receiver.receive_packet(Packet(5, 5, 1, 2, 0.0, ECT1, 28), 0.3) == 5
 
 
 def test_a_completed_scan_is_never_completed_again():
     receiver = DatagramReceiver(TransportParams())
-    assert receiver.receive_packet(Packet(1, 7, 0, 1, 0.0, ECT1, 1), 0.1) == 7
+    assert receiver.receive_packet(Packet(1, 7, 0, 1, 0.0, ECT1, 28), 0.1) == 7
     # fresh seqs claiming more fragments of scan 7, whatever their count
     for seq in (2, 3):
-        assert receiver.receive_packet(Packet(seq, 7, 0, 1, 0.0, ECT1, 1), 0.2) is None
-    assert receiver.receive_packet(Packet(4, 7, 1, 2, 0.0, ECT1, 1), 0.3) is None
+        assert receiver.receive_packet(Packet(seq, 7, 0, 1, 0.0, ECT1, 28), 0.2) is None
+    assert receiver.receive_packet(Packet(4, 7, 1, 2, 0.0, ECT1, 28), 0.3) is None
     assert receiver.newest_scan_id == 7
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        TransportParams(mtu_payload=0).validate()
+        TransportParams(mtu_payload=0)
     with pytest.raises(ValueError):
-        TransportParams(pacing_headroom=0.9).validate()
+        TransportParams(pacing_headroom=0.9)
     with pytest.raises(ValueError):
-        TransportParams(sender_queue_cap=0).validate()
+        TransportParams(sender_queue_cap=0)
