@@ -16,15 +16,12 @@ WIDE_Q = 22  # the first q whose codes reach past bit 63
 
 _U64 = np.uint64
 _LOW32 = _U64(0xFFFFFFFF)
-# (shift, mask) steps that move bit j of a 21-bit value to bit 3j
-_SPREAD = (
-    (32, 0x1F00000000FFFF),
-    (16, 0x1F0000FF0000FF),
-    (8, 0x100F00F00F00F00F),
-    (4, 0x10C30C30C30C30C3),
-    (2, 0x1249249249249249),
-)
-# the same moves undone, in reverse order
+_AXIS_BITS = 12  # the index bits one table lookup spreads
+_AXIS_VALUES = np.arange(1 << _AXIS_BITS, dtype=_U64)
+# _SPREAD_AXIS[a][v]: axis a's code bits from 12 bits v of a cell index, bit j at 3j + a
+_SPREAD_AXIS = [sum((_AXIS_VALUES >> _U64(j) & _U64(1)) << _U64(3 * j + a)
+                    for j in range(_AXIS_BITS)) for a in range(3)]
+# (shift, mask) steps that collect bits 0, 3, 6, ... of a value into its low 21
 _COMPACT = (
     (2, 0x10C30C30C30C30C3),
     (4, 0x100F00F00F00F00F),
@@ -55,7 +52,8 @@ def bit_length(values: np.ndarray) -> np.ndarray:
     so their length is taken from the high 32 bits instead.
     """
     values = np.asarray(values, dtype=_U64)
-    lengths = np.frexp(values.astype(np.float64))[1]
+    floats = values.astype(np.float64)
+    lengths = np.frexp(floats, out=(floats, None))[1]
     big = np.flatnonzero(lengths > 53)
     if len(big):
         lengths[big] = 32 + np.frexp((values[big] >> _U64(32)).astype(np.float64))[1]
@@ -64,21 +62,29 @@ def bit_length(values: np.ndarray) -> np.ndarray:
 
 def code_bit_length(hi: np.ndarray | None, lo: np.ndarray) -> np.ndarray:
     """Bit length of each code given as words."""
-    if hi is None:
-        return bit_length(lo)
-    return np.where(hi > 0, 64 + bit_length(hi), bit_length(lo))
+    lengths = bit_length(lo)
+    if hi is not None:
+        wide = np.flatnonzero(hi)
+        lengths[wide] = 64 + bit_length(hi[wide])
+    return lengths
 
 
-def _spread3(v: np.ndarray) -> np.ndarray:
-    """Spread each value below 2**21, in place, so bit j lands at bit 3j."""
-    for shift, mask in _SPREAD:
-        v |= v << _U64(shift)
-        v &= _U64(mask)
-    return v
+def max_code_bit_length(hi: np.ndarray | None, lo: np.ndarray) -> int:
+    """code_bit_length(hi, lo).max(initial=0), from the largest code alone."""
+    top = 0 if hi is None else int(hi.max(initial=0))
+    return 64 + top.bit_length() if top else int(lo.max(initial=0)).bit_length()
+
+
+def _interleave(out: np.ndarray, index: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """Into out, the code bits of a (3, n) stack of 12-bit indices, one per axis."""
+    np.take(_SPREAD_AXIS[0], index[0].view(np.intp), out=out, mode="clip")
+    for a in (1, 2):
+        out |= np.take(_SPREAD_AXIS[a], index[a].view(np.intp), out=part, mode="clip")
+    return out
 
 
 def _compact3(v: np.ndarray) -> np.ndarray:
-    """Inverse of _spread3, in place: collect bits 0, 3, 6, ... into the low 21."""
+    """Collect bits 0, 3, 6, ... of each value, in place, into its low 21."""
     v &= _U64(0x1249249249249249)
     for shift, mask in _COMPACT:
         v ^= v >> _U64(shift)
@@ -86,20 +92,36 @@ def _compact3(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def morton_encode(cells: np.ndarray, q: int) -> tuple[np.ndarray | None, np.ndarray]:
+def morton_encode(cells: np.ndarray, q: int, out=None) -> tuple[np.ndarray | None, np.ndarray]:
     """Interleave a (3, n) uint64 stack of q-bit cell indices into words (hi, lo).
 
     Bit j of axis a maps to code bit 3j + a; x is the least significant
-    axis.  Bits 21-23 of each axis (q >= WIDE_Q) land at code bits 63-71.
+    axis.  Bits 0-11 and 12-20 of each axis are looked up in _SPREAD_AXIS,
+    and bits 21-23 (q >= WIDE_Q) land at code bits 63-71.  `out` is two
+    uint64 arrays shaped like cells to work in; the words are rows of the
+    second.
     """
-    spread = _spread3(cells & _U64(0x1FFFFF))
-    lo = spread[0] | (spread[1] << _U64(1)) | (spread[2] << _U64(2))
+    index, words = (np.empty_like(cells), np.empty_like(cells)) if out is None else out
+    lo, hi, part = words
+    low = cells if q <= _AXIS_BITS else np.bitwise_and(cells, _AXIS_VALUES[-1], out=index)
+    _interleave(lo, low, part)
+    if q > _AXIS_BITS:
+        np.right_shift(cells, _U64(_AXIS_BITS), out=index)
+        index &= _U64((1 << (21 - _AXIS_BITS)) - 1)  # bits 21-23 go below
+        _interleave(hi, index, part)
+        hi <<= _U64(3 * _AXIS_BITS)
+        lo |= hi
     if q < WIDE_Q:
         return None, lo
-    top = cells >> _U64(21)
-    top = _SPREAD_TOP[top[0] | (top[1] << _U64(3)) | (top[2] << _U64(6))]  # code bits 63-71
-    lo |= top << _U64(63)
-    return top >> _U64(1), lo
+    top = np.right_shift(cells, _U64(21), out=index)
+    top[1] <<= _U64(3)
+    top[2] <<= _U64(6)
+    top[0] |= top[1]
+    top[0] |= top[2]
+    np.take(_SPREAD_TOP, top[0].view(np.intp), out=hi, mode="clip")  # code bits 63-71
+    lo |= np.left_shift(hi, _U64(63), out=part)
+    hi >>= _U64(1)
+    return hi, lo
 
 
 def morton_decode(hi: np.ndarray | None, lo: np.ndarray) -> np.ndarray:
@@ -130,21 +152,33 @@ def sort_order(hi: np.ndarray | None, lo: np.ndarray) -> np.ndarray:
     return order[np.argsort((rank << _U64(8)) | low8, kind="stable")]
 
 
-def sorted_codes(hi: np.ndarray | None, lo: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+def sorted_codes(hi: np.ndarray | None, lo: np.ndarray,
+                 out=None) -> tuple[np.ndarray | None, np.ndarray]:
     """The codes that sort_order puts in order, without that order.
 
     Wide codes sort as keys: the top 64 bits with the code's index in their
-    lowest bits.  Where two keys tie above the index, sort_order decides."""
+    lowest bits.  Where two keys tie above the index, sort_order decides.
+    `out` is a (3, n) uint64 array to work in; the words are rows of it."""
+    n = len(lo)
+    slo, shi, key = np.empty((3, n), dtype=_U64) if out is None else out
     if hi is None:
-        return None, np.sort(lo)
-    bits = _U64(int(len(lo) - 1).bit_length())
-    key = ((hi << _U64(56)) | (lo >> _U64(8))) >> bits << bits
-    key |= np.arange(len(lo), dtype=_U64)
+        np.copyto(slo, lo)
+        slo.sort()
+        return None, slo
+    bits = _U64(int(n - 1).bit_length())
+    np.left_shift(hi, _U64(56), out=key)
+    key |= np.right_shift(lo, _U64(8), out=slo)
+    key >>= bits
+    key <<= bits
+    key |= np.arange(n, dtype=_U64)
     key.sort()
-    if (np.diff(key >> bits) == 0).any():
+    if (np.right_shift(key, bits, out=shi)[1:] == shi[:-1]).any():
         order = sort_order(hi, lo)
         return hi[order], lo[order]
-    return key >> _U64(56), lo[key & ((_U64(1) << bits) - _U64(1))]
+    np.right_shift(key, _U64(56), out=shi)
+    key &= (_U64(1) << bits) - _U64(1)
+    np.take(lo, key.view(np.intp), out=slo, mode="clip")
+    return shi, slo
 
 
 def shift_codes(hi: np.ndarray, lo: np.ndarray, q: int) -> tuple[np.ndarray | None, np.ndarray]:
@@ -156,12 +190,18 @@ def shift_codes(hi: np.ndarray, lo: np.ndarray, q: int) -> tuple[np.ndarray | No
     return (hi >> _U64(bits) if q >= WIDE_Q else None), lo
 
 
-def deltas(hi: np.ndarray | None, lo: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
-    """Differences of consecutive sorted codes as words; input must be sorted."""
-    dlo = np.diff(lo)  # wraps modulo 2**64, and hi takes the borrow
+def deltas(hi: np.ndarray | None, lo: np.ndarray, out=None) -> tuple[np.ndarray | None, np.ndarray]:
+    """Differences of consecutive sorted codes as words; input must be sorted.
+    `out` is a (2, n) uint64 array or taller, whose rows' heads hold them."""
+    m = len(lo) - 1
+    # wraps modulo 2**64, and hi takes the borrow
+    dlo = np.subtract(lo[1:], lo[:-1], out=None if out is None else out[0, :m])
     if hi is None:
         return None, dlo
-    return np.diff(hi) - (lo[1:] < lo[:-1]), dlo
+    dhi = np.less(lo[1:], lo[:-1], out=np.empty(m, _U64) if out is None else out[1, :m])
+    np.subtract(hi[1:], dhi, out=dhi)  # hi[1:] - borrow - hi[:-1]
+    dhi -= hi[:-1]
+    return dhi, dlo
 
 
 def cumsum_words(

@@ -155,21 +155,51 @@ def _f32_bbox(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.concatenate([lo32, hi32]).astype(np.float32)
 
 
+_DEFAULT_F32_BBOX = _f32_bbox(DEFAULT_BBOX[:3], DEFAULT_BBOX[3:])
+_DEFAULT_F32_BBOX.setflags(write=False)  # every default-box unit shares it
+
+
 def _coding_bbox(scan: PointCloudScan, tight_bbox: bool) -> np.ndarray:
     if tight_bbox:
         return _f32_bbox(scan.points.min(axis=0), scan.points.max(axis=0))
-    return _f32_bbox(DEFAULT_BBOX[:3], DEFAULT_BBOX[3:])
+    return _DEFAULT_F32_BBOX
 
 
-def _quantize(points: np.ndarray, bbox: np.ndarray, q: int) -> np.ndarray:
-    """Cell indices of (n, 3) points as a (3, n) uint64 stack."""
+class Workspace:
+    """The arrays an n-point scan passes through in `ScanGenerator.generate`
+    and `measure`, allocated once by their owner, who passes them to both.
+
+    generate writes a scan's points into `points`, over the last scan's.
+    Each stage reuses what earlier stages are done with.  `rows` holds the
+    range grid and noise, then the scaled coordinates; as `index`, the same
+    memory then holds the Morton code's table indices and the sorted codes,
+    and at last, as `rows`, the cell centers and errors.  `words` holds the
+    code words, then their deltas.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.points = np.empty((n, 3))
+        self.rows = np.empty((3, n))
+        self.index = self.rows.view(np.uint64)
+        self.cells, self.words = np.empty((2, 3, n), dtype=np.uint64)
+
+    def sized(self, n: int) -> Workspace:
+        if n != self.n:
+            raise ValueError(f"workspace sized for {self.n} points, not {n}")
+        return self
+
+
+def _quantize(points: np.ndarray, bbox: np.ndarray, q: int, out=None) -> np.ndarray:
+    """Cell indices of (n, 3) points as a (3, n) uint64 stack; `out` holds
+    a (3, n) float64 array to scale them in and a (3, n) uint64 one for them."""
     lo = bbox[:3].astype(np.float64)
     hi = bbox[3:].astype(np.float64)
     extent = hi - lo
     safe = np.where(extent > 0, extent, 1.0)
-    # axis rows keep numpy's inner loops long; always a copy, as t is
-    # scaled in place
-    t = points.T.copy(order="C")
+    n = len(points)
+    t, cells = (np.empty((3, n)), np.empty((3, n), dtype=np.uint64)) if out is None else out
+    t[...] = points.T  # axis rows keep numpy's inner loops long
     t -= lo[:, None]
     t /= safe[:, None]
     if not (t.min() >= 0.0 and t.max() <= 1.0):
@@ -178,16 +208,21 @@ def _quantize(points: np.ndarray, bbox: np.ndarray, q: int) -> np.ndarray:
             f"point {bad} at {points[bad]} outside coding bbox [{lo}, {hi}]"
         )
     t *= float(1 << q)
-    cells = t.astype(np.uint64)
-    return np.minimum(cells, np.uint64((1 << q) - 1), out=cells)
+    # t = 1, the box's max face, falls in the last cell: a clamp at 2**q - 1
+    # before the cast truncates gives the cells a clamp after it would
+    np.minimum(t, float((1 << q) - 1), out=t)
+    cells.view(np.int64)[...] = t  # numpy converts to and from int64 about twice as fast
+    return cells
 
 
-def _cell_centers(cells: np.ndarray, bbox: np.ndarray, q: int) -> np.ndarray:
-    """Cell centers of a (3, n) stack of cell indices, as (3, n) axis rows."""
+def _cell_centers(cells: np.ndarray, bbox: np.ndarray, q: int, out=None) -> np.ndarray:
+    """Cell centers of a (3, n) stack of cell indices, as (3, n) axis rows,
+    in the float64 array `out` if given."""
     lo = bbox[:3].astype(np.float64)
     hi = bbox[3:].astype(np.float64)
     cell = (hi - lo) / float(1 << q)
-    t = cells.astype(np.float64)
+    t = np.empty(cells.shape) if out is None else out
+    t[...] = cells.view(np.int64)
     t += 0.5
     t *= cell[:, None]
     t += lo[:, None]
@@ -202,6 +237,11 @@ def _dequantize(cells: np.ndarray, bbox: np.ndarray, q: int) -> np.ndarray:
 _Plan = tuple[int, int, int, "np.ndarray | None", int]
 
 
+def _global_plan(m: int, width: int) -> _Plan:
+    """The plan that packs m deltas at one width."""
+    return (0, width, 0, None, (m * width + 7) // 8)
+
+
 def _delta_stream_plans(widths: np.ndarray, cs: list[int]) -> list[_Plan]:
     """Race the packing candidates allowed at each effort in cs.
 
@@ -212,9 +252,7 @@ def _delta_stream_plans(widths: np.ndarray, cs: list[int]) -> list[_Plan]:
     (simpler) candidate.
     """
     m = len(widths)
-    global_w = int(widths.max(initial=0))
-    nbytes = (m * global_w + 7) // 8
-    best = (0, global_w, 0, None, nbytes)
+    best = _global_plan(m, int(widths.max(initial=0)))
     winners = [best]  # winners[k]: best plan among the first k block sizes
     for block in _BLOCK_SIZES[: min(max(cs, default=0), len(_BLOCK_SIZES))]:
         if m == 0:
@@ -234,12 +272,12 @@ def _check_scan_size(scan: PointCloudScan) -> None:
         raise ConfigError(f"scan has {scan.n_points} points, codec limit is {MAX_POINTS}")
 
 
-def _codes(scan: PointCloudScan, q: int, tight_bbox: bool):
-    """Coding bbox, (3, n) cell indices and Morton code words of a scan at q."""
-    _check_scan_size(scan)
+def _codes(scan: PointCloudScan, q: int, tight_bbox: bool, work: Workspace | None = None):
+    """Coding bbox, (3, n) cell indices and Morton code words of a scan at q,
+    in `work` if given."""
     bbox = _coding_bbox(scan, tight_bbox)
-    cells = _quantize(scan.points, bbox, q)
-    return bbox, cells, *bitpack.morton_encode(cells, q)
+    cells = _quantize(scan.points, bbox, q, work and (work.rows, work.cells))
+    return bbox, cells, *bitpack.morton_encode(cells, q, work and (work.index, work.words))
 
 
 def _payload_nbytes(n: int, permuted: bool, plan: _Plan) -> int:
@@ -250,6 +288,7 @@ def _payload_nbytes(n: int, permuted: bool, plan: _Plan) -> int:
 
 def encode(scan: PointCloudScan, config: CompressionConfig) -> EncodedUnit:
     """Compress a scan; raises OutOfRangeError for points outside the bbox."""
+    _check_scan_size(scan)
     n = scan.n_points
     bbox, _, hi, lo = _codes(scan, config.q, config.tight_bbox)
     order = bitpack.sort_order(hi, lo)
@@ -288,22 +327,31 @@ def encode(scan: PointCloudScan, config: CompressionConfig) -> EncodedUnit:
     return EncodedUnit(scan_id=scan.scan_id, q=config.q, c=config.c, bbox=bbox, payload=payload)
 
 
-def measure(scan: PointCloudScan, config: CompressionConfig) -> tuple[int, float]:
+def measure(scan: PointCloudScan, config: CompressionConfig,
+            work: Workspace | None = None) -> tuple[int, float]:
     """(len(encode(scan, config).payload), residual(scan, reconstruct(scan,
     config.q, config.tight_bbox)).mean_ptp), both exact, from one quantization.
 
     encode stores a perm stream unless its stable sort order is the identity:
-    unless the codes are nondecreasing in capture order.  Rejects what encode rejects.
+    unless the codes are nondecreasing in capture order.  Rejects what encode
+    rejects.  It works in `work`, a Workspace sized for the scan that the
+    caller owns, or in a new one, and leaves the scan's points as they were.
     """
-    bbox, cells, hi, lo = _codes(scan, config.q, config.tight_bbox)
-    shi, slo = bitpack.sorted_codes(hi, lo)
+    _check_scan_size(scan)
+    n = scan.n_points
+    work = Workspace(n) if work is None else work.sized(n)
+    bbox, cells, hi, lo = _codes(scan, config.q, config.tight_bbox, work)
+    shi, slo = bitpack.sorted_codes(hi, lo, out=work.index)
     permuted = not (np.array_equal(slo, lo) and (hi is None or np.array_equal(shi, hi)))
-    widths = bitpack.code_bit_length(*bitpack.deltas(shi, slo))
-    (plan,) = _delta_stream_plans(widths, [config.c])
-    d = _cell_centers(cells, bbox, config.q)
+    dhi, dlo = bitpack.deltas(shi, slo, out=work.words)
+    if config.c == C_MIN:  # one global width: the largest delta's
+        plan = _global_plan(n - 1, bitpack.max_code_bit_length(dhi, dlo))
+    else:
+        (plan,) = _delta_stream_plans(bitpack.code_bit_length(dhi, dlo), [config.c])
+    d = _cell_centers(cells, bbox, config.q, out=work.rows)
     np.subtract(scan.points.T, d, out=d)
     mean_ptp = float(_point_errors(d, scan.n_valid).mean())
-    return _payload_nbytes(scan.n_points, permuted, plan), mean_ptp
+    return _payload_nbytes(n, permuted, plan), mean_ptp
 
 
 def sweep(
@@ -438,7 +486,7 @@ def _point_errors(d: np.ndarray, n_valid: int) -> np.ndarray:
     """Norm of each valid column of a (3, n) difference, squaring d in place;
     x, y and z are summed in that order, as np.linalg.norm does."""
     d *= d
-    per_point = d[0] + d[1]
+    per_point = np.add(d[0], d[1], out=d[0])
     per_point += d[2]
     np.sqrt(per_point, out=per_point)
     return per_point[:n_valid]

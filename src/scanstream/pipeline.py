@@ -41,8 +41,9 @@ from itertools import takewhile
 
 import numpy as np
 
+from .codec import UNIT_HEADER_BYTES, CompressionConfig, Workspace, measure
 # encode, decode and residual are unused here: perfbench wraps them on codec and here alike
-from .codec import UNIT_HEADER_BYTES, CompressionConfig, decode, encode, measure, residual  # noqa: F401
+from .codec import decode, encode, residual  # noqa: F401
 from .congestion import (
     CongestionState,
     FeedbackProtocolError,
@@ -152,6 +153,8 @@ class _Runner:
         src = scenario.scan_source
         self.gen = ScanGenerator(src.profile, src.seed, src.velocity)
         self.n_points = src.profile.n_points
+        # each scan is generated and measured in these, and dropped before the next
+        self.work = Workspace(self.n_points)
         self.link = BottleneckLink(scenario.link)
         self.sender = DatagramSender(scenario.transport)
         self.receiver = DatagramReceiver(scenario.transport)
@@ -240,16 +243,15 @@ class _Runner:
 
     def _on_scan(self, k: int) -> None:
         t = self.now
-        scan = self.gen.generate(t, scan_id=k)
+        scan = self.gen.generate(t, scan_id=k, out=self.work)
         self.summary.scans_generated += 1
         if self.adaptive:
-            cfg = select_from_grid(self.grid, self.cc.r_trg, self.floor)
+            cfg = select_from_grid(self.grid, self.cc.r_trg, self.floor, self.sc.tight_bbox)
             if cfg.q < self.floor.min_q:
                 raise RunError(f"selected q={cfg.q} below floor {self.floor.min_q} at t={t:.3f}")
-            cfg = CompressionConfig(cfg.q, cfg.c, self.sc.tight_bbox)
         else:
             cfg = self.base_cfg
-        nbytes, self.pending_ptp[k] = measure(scan, cfg)
+        nbytes, self.pending_ptp[k] = measure(scan, cfg, work=self.work)
         self._last_q, self._last_c = cfg.q, cfg.c
         bits = 8 * nbytes
         self._enc_window.append((t, bits))

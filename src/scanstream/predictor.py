@@ -154,8 +154,10 @@ def build_grid(model: RateModel, n_points: int) -> ConfigGrid:
     return ConfigGrid(n_points=n_points, qs=qs, cs=cs, predicted_bps=pred)
 
 
-def select_from_grid(grid: ConfigGrid, r_trg: float, floor: ConfigFloor) -> CompressionConfig:
-    """Grid entry whose prediction is closest to r_trg, honoring the q floor.
+def select_from_grid(grid: ConfigGrid, r_trg: float, floor: ConfigFloor,
+                     tight_bbox: bool = False) -> CompressionConfig:
+    """Grid entry whose prediction is closest to r_trg, honoring the q floor,
+    as a config that codes in a tight bbox or the default one.
 
     Ties prefer larger q (finer geometry), then smaller c (cheaper encode).
     """
@@ -164,7 +166,7 @@ def select_from_grid(grid: ConfigGrid, r_trg: float, floor: ConfigFloor) -> Comp
     idx = np.flatnonzero(grid.qs >= floor.min_q)
     diff = np.abs(grid.predicted_bps[idx] - r_trg)
     best = idx[np.lexsort((grid.cs[idx], -grid.qs[idx], diff))[0]]
-    return CompressionConfig(q=int(grid.qs[best]), c=int(grid.cs[best]))
+    return CompressionConfig(q=int(grid.qs[best]), c=int(grid.cs[best]), tight_bbox=tight_bbox)
 
 
 # ------------------------------------------------------------------ artifacts

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .codec import MAX_POINTS, PointCloudScan
+from .codec import MAX_POINTS, PointCloudScan, Workspace
 
 
 @dataclass(frozen=True)
@@ -84,37 +84,49 @@ class ScanGenerator:
         self._cos_a = np.cos(azim)[None, :]
         self._sin_a = np.sin(azim)[None, :]
         self._azim = azim
-        self._harmonics = [f * azim + ph for f, ph in zip(self._freqs, self._phases)]
+        self._harmonics = self._freqs[:, None] * azim + self._phases[:, None]
         with np.errstate(divide="ignore"):
             self._slant_ground = np.where(
                 self._sin_e < 0, p.sensor_height / np.maximum(-self._sin_e, 1e-12), np.inf
             )
 
     def _wall_radius(self, pos: tuple[float, float]) -> np.ndarray:
+        # every harmonic's phase at once, each computed as sin(base + kx x + ky y)
+        phase = self._harmonics + (self._kx * pos[0])[:, None]
+        phase += (self._ky * pos[1])[:, None]
+        terms = np.sin(phase, out=phase)
+        terms *= self._amps[:, None]
         r = np.full_like(self._azim, self._r0)
-        for a, base, kx, ky in zip(self._amps, self._harmonics, self._kx, self._ky):
-            r += a * np.sin(base + kx * pos[0] + ky * pos[1])
+        for term in terms:  # summed in harmonic order
+            r += term
         return np.clip(r, 4.0, self.profile.max_range - 1.0)
 
-    def generate(self, t: float, scan_id: int) -> PointCloudScan:
+    def generate(self, t: float, scan_id: int, out: Workspace | None = None) -> PointCloudScan:
+        """The scan at time t, made in `out`, a Workspace for this profile that
+        the caller owns, if given: the next generate into `out` overwrites it."""
         p = self.profile
+        n = p.n_points
+        rows, points = (np.empty((2, n)), np.empty((n, 3))) if out is None else (
+            out.sized(n).rows, out.points)
+        rng_range, noise = (row.reshape(p.rings, p.azimuth_steps) for row in rows[:2])
         pos = (self.velocity[0] * t, self.velocity[1] * t)
-        slant_wall = self._wall_radius(pos)[None, :] / self._cos_e
-        rng_range = np.minimum(slant_wall, self._slant_ground)
-        rng_range = np.clip(rng_range, p.min_range, p.max_range)
+        rng_range[...] = self._wall_radius(pos)
+        rng_range /= self._cos_e  # slant range to the wall
+        np.minimum(rng_range, self._slant_ground, out=rng_range)
+        np.clip(rng_range, p.min_range, p.max_range, out=rng_range)
         if p.noise_sigma > 0:
             noise_rng = np.random.default_rng(np.random.SeedSequence([self.seed, _time_key(t)]))
-            noise = noise_rng.normal(0.0, p.noise_sigma, rng_range.shape)
+            noise_rng.standard_normal(out=noise)
+            noise *= p.noise_sigma  # bit for bit what normal(0.0, sigma) draws
             np.clip(noise, -3.0 * p.noise_sigma, 3.0 * p.noise_sigma, out=noise)
-            rng_range = np.clip(rng_range + noise, p.min_range, p.max_range)
-        pts = np.empty((p.rings, p.azimuth_steps, 3))
-        across = rng_range * self._cos_e  # horizontal range, shared by x and y
+            rng_range += noise
+            np.clip(rng_range, p.min_range, p.max_range, out=rng_range)
+        pts = points.reshape(p.rings, p.azimuth_steps, 3)
+        across = np.multiply(rng_range, self._cos_e, out=noise)  # horizontal range, for x and y
         np.multiply(across, self._cos_a, out=pts[:, :, 0])
         np.multiply(across, self._sin_a, out=pts[:, :, 1])
         np.multiply(rng_range, self._sin_e, out=pts[:, :, 2])
-        return PointCloudScan(
-            points=pts.reshape(-1, 3), scan_id=scan_id, timestamp=float(t)
-        )
+        return PointCloudScan(points=points, scan_id=scan_id, timestamp=float(t))
 
 
 def generate_corpus(

@@ -43,6 +43,12 @@ class ScanSourceConfig:
     seed: int = 0
     velocity: tuple[float, float] = (1.0, 0.3)
 
+    def __post_init__(self) -> None:
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not (len(self.velocity) == 2 and all(map(math.isfinite, self.velocity))):
+            raise ValueError(f"velocity must be two finite numbers, got {self.velocity!r}")
+
 
 @dataclass(frozen=True)
 class BaselineConfig:

@@ -41,6 +41,7 @@ def test_morton_roundtrip(q, n):
     cells = coords(q, n)
     hi, lo = bitpack.morton_encode(cells, q)
     assert (hi is None) == (q < bitpack.WIDE_Q)
+    assert to_ints(hi, lo) == [morton_reference(x, y, z, q) for x, y, z in cells.T.tolist()]
     assert np.array_equal(bitpack.morton_decode(hi, lo), cells)
 
 

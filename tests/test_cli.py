@@ -136,6 +136,14 @@ def test_run_rejects_a_wrong_typed_value(scenario_path, capsys):
     assert capsys.readouterr().err.startswith("error: control.mss: ")
 
 
+def test_run_rejects_a_negative_seed_before_running(scenario_path, tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    assert cli(["run", "--scenario", str(scenario_path), "--seed", "-1", "--out", str(out)]) == 1
+    # the scan source's own check, before the link's rng_seed check also fires
+    assert capsys.readouterr().err.startswith("error: seed must be a nonnegative integer")
+    assert not out.exists()
+
+
 def test_missing_required_option_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli(["calibrate"])  # --out-table is required

@@ -353,3 +353,18 @@ def test_run_sizes_each_scan_once_and_makes_no_bytes(bounds, model, monkeypatch,
     s = run_scenario(make_scenario(bounds, duration=2.0, mode=mode), model=model).summary
     assert s.scans_delivered > 0 and math.isfinite(s.mean_ptp_mean) and s.conservation_ok
     assert calls == {"_quantize": s.scans_generated}
+
+
+def test_each_adaptive_scan_builds_and_checks_one_config(bounds, model, monkeypatch):
+    scenario = dataclasses.replace(make_scenario(bounds, duration=2.0), tight_bbox=True)
+    built = []
+    check = codec.CompressionConfig.__post_init__
+
+    def counted(config):
+        built.append(config)
+        check(config)
+
+    monkeypatch.setattr(codec.CompressionConfig, "__post_init__", counted)
+    s = run_scenario(scenario, model=model).summary
+    assert s.conservation_ok and len(built) == s.scans_generated
+    assert all(config.tight_bbox for config in built)

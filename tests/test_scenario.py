@@ -225,6 +225,10 @@ OUT_OF_RANGE_CASES = [
     (("rate_bounds",), "r_max_bps", math.inf, "r_max"),
     (("baseline",), "q", 30, "q must"),
     (("baseline",), "c", 10, "c must"),
+    # generate's SeedSequence raised a numpy ValueError at the first scan
+    (("scan_source",), "seed", -1, "seed"),
+    # every point left the coding box: OutOfRangeError at the first scan after t = 0
+    (("scan_source",), "velocity", [math.nan, 0.0], "velocity"),
 ]
 
 
