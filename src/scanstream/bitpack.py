@@ -181,15 +181,6 @@ def sorted_codes(hi: np.ndarray | None, lo: np.ndarray,
     return shi, slo
 
 
-def shift_codes(hi: np.ndarray, lo: np.ndarray, q: int) -> tuple[np.ndarray | None, np.ndarray]:
-    """The top 3q bits of 72-bit codes (hi, lo), as words of 3q-bit codes."""
-    bits = VALUE_BITS - 3 * q
-    if bits == 0:
-        return hi, lo
-    lo = (lo >> _U64(bits)) | (hi << _U64(64 - bits))
-    return (hi >> _U64(bits) if q >= WIDE_Q else None), lo
-
-
 def deltas(hi: np.ndarray | None, lo: np.ndarray, out=None) -> tuple[np.ndarray | None, np.ndarray]:
     """Differences of consecutive sorted codes as words; input must be sorted.
     `out` is a (2, n) uint64 array or taller, whose rows' heads hold them."""

@@ -69,20 +69,21 @@ def _cmd_minrate(args) -> int:
 
 def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
+    overrides = {}
     if args.seed is not None:
-        scenario.scan_source = dataclasses.replace(scenario.scan_source, seed=args.seed)
-        scenario.link = dataclasses.replace(scenario.link, rng_seed=args.seed)
+        overrides["scan_source"] = dataclasses.replace(scenario.scan_source, seed=args.seed)
+        overrides["link"] = dataclasses.replace(scenario.link, rng_seed=args.seed)
     if args.duration is not None:
-        scenario.duration = args.duration
+        overrides["duration"] = args.duration
     if args.command == "baseline":
-        scenario.mode = "baseline"
+        overrides["mode"] = "baseline"
         flags = {"q": args.q, "c": args.c, "pacing_bps": args.pacing_bps}
-        scenario.baseline = dataclasses.replace(
+        overrides["baseline"] = dataclasses.replace(
             scenario.baseline, **{k: v for k, v in flags.items() if v is not None}
         )
     elif args.model is not None:
-        scenario.model_path = args.model
-    result = run_scenario(scenario, metrics_path=args.out)
+        overrides["model_path"] = args.model
+    result = run_scenario(dataclasses.replace(scenario, **overrides), metrics_path=args.out)
     if result.metrics_path:
         print(f"metrics: {result.metrics_path}")
     print(result.summary.to_text())

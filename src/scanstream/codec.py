@@ -9,23 +9,20 @@ delta stream; candidates are always raced against each other and the
 smallest encoding wins, so payload size is nonincreasing in c.
 
 Encoding follows Draco's order: quantize and sort, then entropy code.
-Quantization, Morton codes, sort, deltas and their widths depend only on
-(scan, q); c only picks how the deltas are packed: one global width, or
-one width per block.  So every c at one q decodes to the same points: the
-cell centers that `reconstruct` computes without encoding.  Both modes
-write and read the delta stream block by block, the global mode as one
-block of all n - 1 deltas.
+Quantization, Morton codes, sort and deltas depend only on (scan, q); c
+only picks how the deltas are packed: one global width, or one width per
+block, each the bit length of the largest delta it packs.  So every c at
+one q decodes to the same points: the cell centers that `reconstruct`
+computes without encoding.  Both modes write and read the delta stream
+block by block, the global mode as one block of all n - 1 deltas.
 
-A simulated run needs only each unit's size and its mean error at those
-cell centers, so `measure` packs nothing: it sorts code values, not their
-order, and takes the error from the cells as axis rows, not a rebuilt scan.
-
-The calibration sweep needs only payload sizes and those cell centers, so
-`sweep` packs nothing and stages by scan, not by q.  It quantizes, Morton
-codes and sorts a scan once, at Q_MAX.  Shifting a cell index at Q_MAX
-right by Q_MAX - q gives the cell index at q, so shifting the sorted codes
-right by 3 (Q_MAX - q) gives each q's sorted codes, and from their deltas
-the plans give each c's exact payload size.
+A simulated run and the calibration sweep need only payload sizes and the
+error at those cell centers, so `measure` and `sweep` pack nothing.  One
+kernel serves both: from a scan's cells at q it sorts code values, not
+their order, sizes each c's payload from the deltas, and takes each
+point's error from the cells as axis rows, not a rebuilt scan.  `measure`
+quantizes at its config's q; `sweep` quantizes once, at Q_MAX, and
+shifting a cell index at Q_MAX right by Q_MAX - q gives the one at q.
 
 Cell indices travel as a (3, n) stack, one row per axis, and Morton codes
 as uint64 words (see bitpack): one word for q <= 21, whose codes have at
@@ -168,6 +165,7 @@ def _coding_bbox(scan: PointCloudScan, tight_bbox: bool) -> np.ndarray:
 class Workspace:
     """The arrays an n-point scan passes through in `ScanGenerator.generate`
     and `measure`, allocated once by their owner, who passes them to both.
+    `sweep` works each q of a scan in one of its own.
 
     generate writes a scan's points into `points`, over the last scan's.
     Each stage reuses what earlier stages are done with.  `rows` holds the
@@ -237,30 +235,30 @@ def _dequantize(cells: np.ndarray, bbox: np.ndarray, q: int) -> np.ndarray:
 _Plan = tuple[int, int, int, "np.ndarray | None", int]
 
 
-def _global_plan(m: int, width: int) -> _Plan:
-    """The plan that packs m deltas at one width."""
-    return (0, width, 0, None, (m * width + 7) // 8)
-
-
-def _delta_stream_plans(widths: np.ndarray, cs: list[int]) -> list[_Plan]:
-    """Race the packing candidates allowed at each effort in cs.
+def _delta_stream_plans(dhi: np.ndarray | None, dlo: np.ndarray, cs: list[int]) -> list[_Plan]:
+    """Race the packing candidates allowed at each effort in cs for the deltas (dhi, dlo).
 
     Effort c admits the global width plus the first min(c, 6) block sizes.
-    Each candidate is sized once; returns one (delta_mode, global_width,
-    block_log2, block_widths, nbytes) per c, where nbytes is the exact size
-    of the block width table plus the delta stream.  Ties go to the earlier
-    (simpler) candidate.
+    Bit length is monotone, so a stream's width is the bit length of its
+    largest delta.  Each candidate is sized once; returns one (delta_mode,
+    global_width, block_log2, block_widths, nbytes) per c, where nbytes is
+    the exact size of the block width table plus the delta stream.  Ties go
+    to the earlier (simpler) candidate.
     """
-    m = len(widths)
-    best = _global_plan(m, int(widths.max(initial=0)))
+    m = len(dlo)
+    width = bitpack.max_code_bit_length(dhi, dlo)
+    best = (0, width, 0, None, (m * width + 7) // 8)
     winners = [best]  # winners[k]: best plan among the first k block sizes
     for block in _BLOCK_SIZES[: min(max(cs, default=0), len(_BLOCK_SIZES))]:
         if m == 0:
             break
         starts = np.arange(0, m, block)
-        bw = np.maximum.reduceat(widths, starts)
-        lens = np.diff(np.append(starts, m))
-        nbytes = (int(np.sum(lens * bw)) + 7) // 8 + len(bw)
+        # a block's largest hi word is 0 only when every delta in it fits its lo word
+        bw = bitpack.code_bit_length(None if dhi is None else np.maximum.reduceat(dhi, starts),
+                                     np.maximum.reduceat(dlo, starts))
+        # every block but the last is full
+        bits = block * int(bw[:-1].sum()) + (m - block * (len(bw) - 1)) * int(bw[-1])
+        nbytes = (bits + 7) // 8 + len(bw)
         if nbytes < best[4]:
             best = (1, 0, int(block).bit_length() - 1, bw, nbytes)
         winners.append(best)
@@ -270,14 +268,6 @@ def _delta_stream_plans(widths: np.ndarray, cs: list[int]) -> list[_Plan]:
 def _check_scan_size(scan: PointCloudScan) -> None:
     if scan.n_points > MAX_POINTS:
         raise ConfigError(f"scan has {scan.n_points} points, codec limit is {MAX_POINTS}")
-
-
-def _codes(scan: PointCloudScan, q: int, tight_bbox: bool, work: Workspace | None = None):
-    """Coding bbox, (3, n) cell indices and Morton code words of a scan at q,
-    in `work` if given."""
-    bbox = _coding_bbox(scan, tight_bbox)
-    cells = _quantize(scan.points, bbox, q, work and (work.rows, work.cells))
-    return bbox, cells, *bitpack.morton_encode(cells, q, work and (work.index, work.words))
 
 
 def _payload_nbytes(n: int, permuted: bool, plan: _Plan) -> int:
@@ -290,7 +280,8 @@ def encode(scan: PointCloudScan, config: CompressionConfig) -> EncodedUnit:
     """Compress a scan; raises OutOfRangeError for points outside the bbox."""
     _check_scan_size(scan)
     n = scan.n_points
-    bbox, _, hi, lo = _codes(scan, config.q, config.tight_bbox)
+    bbox = _coding_bbox(scan, config.tight_bbox)
+    hi, lo = bitpack.morton_encode(_quantize(scan.points, bbox, config.q), config.q)
     order = bitpack.sort_order(hi, lo)
     permuted = not np.array_equal(order, np.arange(n))
     perm_bytes = b""
@@ -304,7 +295,7 @@ def encode(scan: PointCloudScan, config: CompressionConfig) -> EncodedUnit:
     first = bitpack.code_int(hi, lo, 0).to_bytes(9, "big")
     dhi, dlo = bitpack.deltas(hi, lo)
     del hi, lo
-    (plan,) = _delta_stream_plans(bitpack.code_bit_length(dhi, dlo), [config.c])
+    (plan,) = _delta_stream_plans(dhi, dlo, [config.c])
     delta_mode, global_w, block_log2, block_widths, _ = plan
     bits = bitpack.to_bit_matrix(dhi, dlo)
     del dhi, dlo
@@ -327,76 +318,70 @@ def encode(scan: PointCloudScan, config: CompressionConfig) -> EncodedUnit:
     return EncodedUnit(scan_id=scan.scan_id, q=config.q, c=config.c, bbox=bbox, payload=payload)
 
 
+def _sizes_and_errors(scan: PointCloudScan, cells: np.ndarray, bbox: np.ndarray, q: int,
+                      cs: list[int], work: Workspace) -> tuple[list[int], np.ndarray]:
+    """Each c of cs's exact payload size for the scan's (3, n) cells at q,
+    and each valid point's error at its cell's center, worked out in `work`.
+
+    encode stores a perm stream unless its stable sort order is the identity:
+    unless the codes are nondecreasing in capture order.  The errors are a
+    view into `work`, valid until its next use.
+    """
+    hi, lo = bitpack.morton_encode(cells, q, out=(work.index, work.words))
+    shi, slo = bitpack.sorted_codes(hi, lo, out=work.index)
+    permuted = not (np.array_equal(slo, lo) and (hi is None or np.array_equal(shi, hi)))
+    dhi, dlo = bitpack.deltas(shi, slo, out=work.words)
+    n = scan.n_points
+    sizes = [_payload_nbytes(n, permuted, plan) for plan in _delta_stream_plans(dhi, dlo, cs)]
+    d = _cell_centers(cells, bbox, q, out=work.rows)
+    np.subtract(scan.points.T, d, out=d)
+    return sizes, _point_errors(d, scan.n_valid)
+
+
 def measure(scan: PointCloudScan, config: CompressionConfig,
             work: Workspace | None = None) -> tuple[int, float]:
     """(len(encode(scan, config).payload), residual(scan, reconstruct(scan,
     config.q, config.tight_bbox)).mean_ptp), both exact, from one quantization.
 
-    encode stores a perm stream unless its stable sort order is the identity:
-    unless the codes are nondecreasing in capture order.  Rejects what encode
-    rejects.  It works in `work`, a Workspace sized for the scan that the
-    caller owns, or in a new one, and leaves the scan's points as they were.
+    Rejects what encode rejects.  It works in `work`, a Workspace sized for
+    the scan that the caller owns, or in a new one, and leaves the scan's
+    points as they were.
     """
     _check_scan_size(scan)
-    n = scan.n_points
-    work = Workspace(n) if work is None else work.sized(n)
-    bbox, cells, hi, lo = _codes(scan, config.q, config.tight_bbox, work)
-    shi, slo = bitpack.sorted_codes(hi, lo, out=work.index)
-    permuted = not (np.array_equal(slo, lo) and (hi is None or np.array_equal(shi, hi)))
-    dhi, dlo = bitpack.deltas(shi, slo, out=work.words)
-    if config.c == C_MIN:  # one global width: the largest delta's
-        plan = _global_plan(n - 1, bitpack.max_code_bit_length(dhi, dlo))
-    else:
-        (plan,) = _delta_stream_plans(bitpack.code_bit_length(dhi, dlo), [config.c])
-    d = _cell_centers(cells, bbox, config.q, out=work.rows)
-    np.subtract(scan.points.T, d, out=d)
-    mean_ptp = float(_point_errors(d, scan.n_valid).mean())
-    return _payload_nbytes(n, permuted, plan), mean_ptp
+    work = Workspace(scan.n_points) if work is None else work.sized(scan.n_points)
+    bbox = _coding_bbox(scan, config.tight_bbox)
+    cells = _quantize(scan.points, bbox, config.q, (work.rows, work.cells))
+    (nbytes,), errors = _sizes_and_errors(scan, cells, bbox, config.q, [config.c], work)
+    return nbytes, float(errors.mean())
 
 
 def sweep(
     scan: PointCloudScan, qs: list[int], cs: list[int], tight_bbox: bool = False
-) -> Iterator[tuple[int, list[int], PointCloudScan]]:
-    """Payload sizes and reconstruction of a scan at every (q, c), packing nothing.
+) -> Iterator[tuple[int, list[int], ResidualStats]]:
+    """Payload sizes and reconstruction error of a scan at every (q, c), packing nothing.
 
-    Yields (q, sizes, rebuilt) for each q in qs, one q at a time: sizes[k]
+    Yields (q, sizes, stats) for each q in qs, one q at a time: sizes[k]
     is len(encode(scan, CompressionConfig(q, cs[k], tight_bbox)).payload)
-    and rebuilt is reconstruct(scan, q, tight_bbox).  Rejects a bad q or c,
-    an oversized scan and out-of-box points as encode does, once iterated.
+    and stats is residual(scan, reconstruct(scan, q, tight_bbox)).  Rejects
+    a bad q or c, an oversized scan and out-of-box points as encode does,
+    once iterated.
 
-    The scan is quantized, Morton coded and sorted once, at Q_MAX.  t * 2**q
-    is a power-of-two scaling of t * 2**Q_MAX, so the floor and the clamp at
-    t = 1 both commute with the right shift by Q_MAX - q: the cells at q are
-    the shifted cells at Q_MAX, and the codes at q the sorted Q_MAX codes
-    shifted by 3 (Q_MAX - q), still sorted.  Their deltas, widths and plans
-    are then the encoder's; only the tie order inside the perm stream can
-    differ, and its length does not.
+    The scan is quantized once, at Q_MAX.  t * 2**q is a power-of-two
+    scaling of t * 2**Q_MAX, so the floor and the clamp at t = 1 both
+    commute with the right shift by Q_MAX - q: the cells at q are the
+    shifted cells at Q_MAX, and measure's kernel takes them from there.
     """
     for q in qs:
         for c in cs:
             CompressionConfig(q, c, tight_bbox)
     _check_scan_size(scan)
-    n = scan.n_points
+    work = Workspace(scan.n_points)
     bbox = _coding_bbox(scan, tight_bbox)
-    cells = _quantize(scan.points, bbox, Q_MAX)
-    hi, lo = bitpack.morton_encode(cells, Q_MAX)
-    # The encoder stores no perm stream when the codes at q never fall in
-    # capture order.  A shift keeps every rise, and turns a fall into a tie
-    # once it drops the highest bit where the two codes differ.
-    a_hi, a_lo, b_hi, b_lo = hi[:-1], lo[:-1], hi[1:], lo[1:]
-    fall = (b_hi < a_hi) | ((b_hi == a_hi) & (b_lo < a_lo))
-    fall_bits = bitpack.code_bit_length(a_hi[fall] ^ b_hi[fall], a_lo[fall] ^ b_lo[fall])
-    sorted_from = int(fall_bits.max(initial=0))  # shifts of this many bits leave no fall
-    order = bitpack.sort_order(hi, lo)
-    hi, lo = hi[order], lo[order]
+    top = _quantize(scan.points, bbox, Q_MAX)
     for q in qs:
-        shift = Q_MAX - q
-        dhi, dlo = bitpack.deltas(*bitpack.shift_codes(hi, lo, q))
-        plans = _delta_stream_plans(bitpack.code_bit_length(dhi, dlo), cs)
-        permuted = 3 * shift < sorted_from
-        points = _dequantize(cells >> np.uint64(shift), bbox, q)
-        rebuilt = PointCloudScan(points=points, scan_id=scan.scan_id, n_valid=scan.n_valid)
-        yield q, [_payload_nbytes(n, permuted, plan) for plan in plans], rebuilt
+        cells = np.right_shift(top, np.uint64(Q_MAX - q), out=work.cells)
+        sizes, errors = _sizes_and_errors(scan, cells, bbox, q, cs, work)
+        yield q, sizes, _stats(errors)
 
 
 def decode(unit: EncodedUnit) -> PointCloudScan:
@@ -492,6 +477,14 @@ def _point_errors(d: np.ndarray, n_valid: int) -> np.ndarray:
     return per_point[:n_valid]
 
 
+def _stats(valid: np.ndarray) -> ResidualStats:
+    return ResidualStats(
+        mean_ptp=float(valid.mean()),
+        max_ptp=float(valid.max()),
+        l2_norm=float(np.sqrt(np.sum(valid * valid))),
+    )
+
+
 def residual(original: PointCloudScan, decoded: PointCloudScan) -> ResidualStats:
     """Point-to-point reconstruction error; padded indices do not count."""
     if original.n_points != decoded.n_points:
@@ -502,10 +495,5 @@ def residual(original: PointCloudScan, decoded: PointCloudScan) -> ResidualStats
         raise CardinalityError(
             f"padding mismatch: n_valid {original.n_valid} vs {decoded.n_valid}"
         )
-    valid = _point_errors(np.ascontiguousarray((original.points - decoded.points).T),
-                          original.n_valid)
-    return ResidualStats(
-        mean_ptp=float(valid.mean()),
-        max_ptp=float(valid.max()),
-        l2_norm=float(np.sqrt(np.sum(valid * valid))),
-    )
+    return _stats(_point_errors(np.ascontiguousarray((original.points - decoded.points).T),
+                                original.n_valid))

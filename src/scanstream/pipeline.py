@@ -281,7 +281,7 @@ class _Runner:
         scan_id = self.receiver.receive_packet(pkt, self.now)
         if scan_id is not None:
             self._deliver(scan_id)
-        if self.adaptive and self.receiver.should_report(self.now):
+        if self.adaptive and self.receiver.should_report():
             self._emit_feedback()
 
     def _deliver(self, scan_id: int) -> None:
@@ -453,7 +453,6 @@ def run_scenario(
     metrics_path: str | None = None,
 ) -> RunResult:
     """Execute a scenario; writes the metrics CSV when a path is configured."""
-    scenario.validate()
     rows, summary = _Runner(scenario, model).run()
     path = metrics_path if metrics_path is not None else scenario.metrics_path
     if path is not None:

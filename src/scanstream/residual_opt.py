@@ -98,14 +98,13 @@ def _corpus_fingerprint(corpus: list[PointCloudScan]) -> str:
 def _sweep_scan(args) -> np.ndarray:
     """One scan's (mean_ptp, max_ptp, l2_norm, bps) at each q of qs (rows) and c of cs.
 
-    Every c at one q decodes to the scan's reconstruction at q, so its
-    residual stands for the whole row, while each rate is that c's real
-    payload size.  One reconstruction is alive at a time.
+    Every c at one q decodes to the scan's reconstruction at q, so the
+    sweep's error at q stands for the whole row, while each rate is that
+    c's real payload size.
     """
     scan, qs, cs, scan_hz, tight_bbox = args
     stats = np.empty((len(qs), len(cs), 4))
-    for row, (_, sizes, rebuilt) in zip(stats, codec.sweep(scan, qs, cs, tight_bbox)):
-        res = codec.residual(scan, rebuilt)
+    for row, (_, sizes, res) in zip(stats, codec.sweep(scan, qs, cs, tight_bbox)):
         row[:, :3] = res.mean_ptp, res.max_ptp, res.l2_norm
         row[:, 3] = [8 * nbytes * scan_hz for nbytes in sizes]
     return stats
@@ -121,8 +120,8 @@ def calibrate_detailed(
     """Rate/residual sweep of every (q, c) over a corpus.
 
     Returns the aggregated table plus one RateSample per (scan, q, c) for
-    model fitting.  Each scan is swept by `codec.sweep`, which sorts it
-    once and takes every entry's rate from its payload size without
+    model fitting.  Each scan is swept by `codec.sweep`, which quantizes
+    it once and takes every entry's rate from its payload size without
     packing; scans are independent, so the sweep may fan out one scan per
     task across processes, and results merge in corpus order.
     """

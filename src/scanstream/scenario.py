@@ -8,8 +8,8 @@ defaults and types; a few keys are renamed (`model`, `metrics`,
 Unknown keys and wrong-typed values are rejected rather than ignored so
 config typos fail loudly instead of silently running defaults.
 
-Every config checks its own ranges once, when it is built, and nothing
-re-checks it.  Only `Scenario` stays mutable, so `run_scenario` checks it again.
+Every config, the scenario too, checks its own ranges once, when it is
+built, and nothing re-checks it.
 """
 from __future__ import annotations
 
@@ -62,7 +62,7 @@ class BaselineConfig:
         CompressionConfig(self.q, self.c)  # rejects knobs off the codec's grid
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     scan_source: ScanSourceConfig
     link: LinkConfig
@@ -78,9 +78,6 @@ class Scenario:
     tight_bbox: bool = False
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if self.mode not in MODES:
             raise ScenarioError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not (0 < self.scan_hz < math.inf):

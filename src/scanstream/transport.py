@@ -218,7 +218,6 @@ class DatagramReceiver:
         self.newest_send_time = 0.0
         self.newest_arrival_time = 0.0
         self.packets_since_report = 0
-        self.last_report_time = 0.0
         # the one scan being reassembled: the newest scan id seen, its
         # fragment count and its fragments received
         self.newest_scan_id = -1
@@ -258,15 +257,14 @@ class DatagramReceiver:
         self._received += 1  # past the count once complete: never complete again
         return pkt.scan_id if self._received == self._frag_count else None
 
-    def should_report(self, now: float) -> bool:
-        if self.packets_since_report >= self.params.feedback_every_packets:
-            return True
-        return now - self.last_report_time >= self.params.feedback_interval
+    def should_report(self) -> bool:
+        """Every feedback_every_packets arrivals; the run's timer makes the
+        reports due every feedback_interval."""
+        return self.packets_since_report >= self.params.feedback_every_packets
 
     def make_feedback(self, now: float) -> FeedbackReport:
         """Cumulative-counter snapshot; echoes the newest packet's send time."""
         self.packets_since_report = 0
-        self.last_report_time = now
         # highest_acked_seq, cumulative_acked_bytes, cumulative_ce_marked_bytes,
         # cumulative_lost_packets, receiver_timestamp, echo_timestamp
         return FeedbackReport(self.highest_seq, self.cumulative_acked_bytes,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -184,8 +184,7 @@ def adaptive_run(step_scenario_path, model):
 
 @pytest.fixture(scope="session")
 def baseline_run(step_scenario_path):
-    scenario = load_scenario(step_scenario_path)
-    scenario.mode = "baseline"
+    scenario = replace(load_scenario(step_scenario_path), mode="baseline")
     result = _timed("baseline_run", lambda: run_scenario(scenario))
     RUN_REGISTRY.append(("step-baseline", result))
     return result

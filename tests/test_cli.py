@@ -144,6 +144,20 @@ def test_run_rejects_a_negative_seed_before_running(scenario_path, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, error", [
+    (["--duration", "0"], "duration must be positive and finite"),
+    (["--model", "missing.json"], "model file does not exist"),
+])
+def test_run_rejects_an_override_that_breaks_the_scenario_before_running(
+    scenario_path, tmp_path, capsys, flags, error
+):
+    # the overridden scenario is rebuilt, and so checked, before the run starts
+    out = tmp_path / "m.csv"
+    assert cli(["run", "--scenario", str(scenario_path), "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {error}")
+    assert not out.exists()
+
+
 def test_missing_required_option_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli(["calibrate"])  # --out-table is required

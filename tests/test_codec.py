@@ -171,15 +171,13 @@ def test_sweep_equals_encode_and_reconstruct(n, seed, layout, padded, tight):
     cs = list(range(C_MIN, C_MAX + 1))
     swept = list(sweep(scan, qs, cs, tight))
     assert [q for q, _, _ in swept] == qs
-    for q, sizes, rebuilt in swept:
+    for q, sizes, stats in swept:
         assert np.array_equal(codec._quantize(scan.points, bbox, q), top >> np.uint64(Q_MAX - q))
         assert sizes == [len(encode(scan, CompressionConfig(q, c, tight)).payload) for c in cs]
-        ref = reconstruct(scan, q, tight)
-        assert np.array_equal(rebuilt.points, ref.points)
-        assert (rebuilt.n_valid, rebuilt.scan_id) == (n_valid, seed)
-        mean_ptp = residual(scan, ref).mean_ptp
+        ref = residual(scan, reconstruct(scan, q, tight))
+        assert stats == ref
         for c, size in zip(cs, sizes):
-            assert measure(scan, CompressionConfig(q, c, tight)) == (size, mean_ptp)
+            assert measure(scan, CompressionConfig(q, c, tight)) == (size, ref.mean_ptp)
 
 
 def test_measure_sizes_a_perm_stream_that_only_the_high_word_shows():

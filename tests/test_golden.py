@@ -110,15 +110,13 @@ def test_sweep_equals_encode_and_reconstruct():
     for tight in (False, True):
         swept = list(sweep(scan, qs, cs, tight))
         assert [q for q, _, _ in swept] == qs
-        for q, sizes, rebuilt in swept:
+        for q, sizes, stats in swept:
             sizes_at_q = [len(encode(scan, CompressionConfig(q, c, tight)).payload) for c in cs]
             assert sizes == sizes_at_q, (q, tight)
-            ref = reconstruct(scan, q, tight)
-            assert np.array_equal(rebuilt.points, ref.points), (q, tight)
-            assert (rebuilt.n_valid, rebuilt.scan_id) == (ref.n_valid, ref.scan_id)
-            mean_ptp = residual(scan, ref).mean_ptp
+            ref = residual(scan, reconstruct(scan, q, tight))
+            assert stats == ref, (q, tight)
             for c, size in zip(cs, sizes_at_q):
-                assert measure(scan, CompressionConfig(q, c, tight)) == (size, mean_ptp), (q, c, tight)
+                assert measure(scan, CompressionConfig(q, c, tight)) == (size, ref.mean_ptp), (q, c, tight)
 
 
 def sha256_file(path) -> str:
@@ -151,8 +149,8 @@ def test_tiny_mtu_run_metrics_bytes(tiny_mtu_run, tmp_path):
 @pytest.mark.parametrize("prop_delay, loss_rate", sorted(TIE_HEAVY_METRICS_SHA256))
 def test_tie_heavy_run_metrics_bytes(bounds, model, tmp_path, prop_delay, loss_rate):
     scenario = tiny_mtu_scenario(bounds)
-    scenario.link = dataclasses.replace(scenario.link, prop_delay=prop_delay,
-                                        loss_rate=loss_rate)
+    scenario = dataclasses.replace(scenario, link=dataclasses.replace(
+        scenario.link, prop_delay=prop_delay, loss_rate=loss_rate))
     result = run_scenario(scenario, model=model)
     s = result.summary
     assert s.conservation_ok and s.packets_random_lost > 0 and s.feedback_reports > 0

@@ -153,8 +153,9 @@ def test_a_scan_whose_every_packet_is_lost_counts_as_lost(bounds, seed):
     # one packet per scan, so each random loss loses a whole scan, and no
     # fragment of it ever reaches the receiver
     scenario = make_scenario(bounds, mode="baseline", capacity=10.0e6)
-    scenario.link = dataclasses.replace(scenario.link, loss_rate=0.10, rng_seed=seed)
-    scenario.transport = TransportParams(mtu_payload=65535)
+    scenario = dataclasses.replace(
+        scenario, link=dataclasses.replace(scenario.link, loss_rate=0.10, rng_seed=seed),
+        transport=TransportParams(mtu_payload=65535))
     s = run_scenario(scenario).summary
     assert s.packets_sent == s.scans_generated - s.scans_dropped_sender
     assert s.packets_random_lost > 0 and s.packets_tail_dropped == 0
@@ -219,8 +220,9 @@ def test_overshoot_error_names_the_packet_that_broke_the_bound(bounds, model, mo
     monkeypatch.setattr(transport, "can_send", lambda *args: True)
     scenario = make_scenario(bounds, duration=1.0)
     # no report for 0.6 s and a timer every 0.1 s: trains of a few dozen packets
-    scenario.link = dataclasses.replace(scenario.link, prop_delay=0.3)
-    scenario.transport = dataclasses.replace(scenario.transport, feedback_interval=0.1)
+    scenario = dataclasses.replace(
+        scenario, link=dataclasses.replace(scenario.link, prop_delay=0.3),
+        transport=dataclasses.replace(scenario.transport, feedback_interval=0.1))
     trains = []
     pace_and_send = DatagramSender.pace_and_send
 
@@ -262,7 +264,7 @@ def test_feedback_path_adds_prop_delay(bounds, model, monkeypatch):
     monkeypatch.setattr(DatagramReceiver, "make_feedback", recorded_make_feedback)
     monkeypatch.setattr(_Runner, "_on_feedback", recorded_on_feedback)
     scenario = make_scenario(bounds, duration=2.0)
-    scenario.link = dataclasses.replace(scenario.link, prop_delay=0.015)
+    scenario = dataclasses.replace(scenario, link=dataclasses.replace(scenario.link, prop_delay=0.015))
     run_scenario(scenario, model=model)
     assert len(landed) > 100
     # reports made in the last 15 ms land after the run ends

@@ -104,7 +104,9 @@ def test_table_aggregates_as_a_per_pair_loop():
                 assert row.measured_bps == stats[:, 3].mean()
 
 
-def test_sweep_sorts_each_scan_once_and_packs_nothing(monkeypatch):
+def test_sweep_quantizes_each_scan_once_and_packs_nothing(monkeypatch):
+    # each q's cells are the Q_MAX cells shifted, and the codes at q are
+    # sorted as values: no sort order, no bytes, no decode
     calls = Counter()
 
     def count(module, name):
@@ -118,12 +120,12 @@ def test_sweep_sorts_each_scan_once_and_packs_nothing(monkeypatch):
 
     for name in ("morton_encode", "sort_order", "to_bit_matrix", "pack_uint", "pack_width"):
         count(bitpack, name)
-    for name in ("encode", "decode"):
+    for name in ("_quantize", "encode", "decode"):
         count(codec, name)
     corpus = generate_corpus(SMALL, seed=6, n_scans=3)
     table, _ = calibrate_detailed(corpus, scan_hz=10.0)
     assert len(table.rows) == 170
-    assert calls == {"morton_encode": 3, "sort_order": 3}
+    assert calls == {"_quantize": 3, "morton_encode": 3 * (Q_MAX - Q_MIN + 1)}
 
 
 def test_worst_aggregate_upper_bounds_mean():

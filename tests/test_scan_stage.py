@@ -75,6 +75,18 @@ def test_a_workspace_sized_for_another_point_count_is_rejected():
             measure(scan, CompressionConfig(12, 0), work=Workspace(n))
 
 
+def traced_peak(call) -> int:
+    """Bytes allocated at the peak of call(), above what was live before it."""
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - base
+
+
 @pytest.mark.parametrize("c", [C_MIN, C_MAX])
 @pytest.mark.parametrize("q", [10, 16, 24])
 def test_scan_stage_in_the_runs_buffers_allocates_little(q, c):
@@ -85,14 +97,23 @@ def test_scan_stage_in_the_runs_buffers_allocates_little(q, c):
     work = Workspace(profile.n_points)
     config = CompressionConfig(q, c)
     measure(gen.generate(0.0, scan_id=0, out=work), config, work=work)  # numpy's first-call caches
-    tracemalloc.start()
-    try:
-        base, _ = tracemalloc.get_traced_memory()
-        measure(gen.generate(0.1, scan_id=1, out=work), config, work=work)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - base < 128 * 2**10
+    peak = traced_peak(lambda: measure(gen.generate(0.1, scan_id=1, out=work), config, work=work))
+    assert peak < 128 * 2**10
+
+
+@pytest.mark.parametrize("q", [10, 16, 24])
+def test_block_widths_allocate_no_more_than_one_global_width(q):
+    # block widths come from each block's largest delta: one bit length per
+    # delta was 84 KiB at 16x448
+    profile = SensorProfile(rings=16, azimuth_steps=448)
+    scan = ScanGenerator(profile, 7).generate(0.0, scan_id=0)
+    work = Workspace(profile.n_points)
+    peaks = []
+    for c in (C_MIN, C_MAX):
+        config = CompressionConfig(q, c)
+        measure(scan, config, work=work)  # numpy's first-call caches
+        peaks.append(traced_peak(lambda: measure(scan, config, work=work)))
+    assert abs(peaks[1] - peaks[0]) <= 4 * 2**10, peaks
 
 
 FAULTS_PER_SCAN = """
