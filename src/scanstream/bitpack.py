@@ -139,17 +139,7 @@ def sort_order(hi: np.ndarray | None, lo: np.ndarray) -> np.ndarray:
     """Stable ascending order of the codes (ties keep input order)."""
     if hi is None:
         return np.argsort(lo, kind="stable")
-    # Wide codes: stable-sort the top 64 bits, then rank them densely and
-    # re-sort (rank, low 8 bits).  That key fits 32 bits and is already in
-    # order outside runs of equal tops, so the second sort is nearly free;
-    # both sorts are stable, so equal codes keep input order.
-    top = (hi << _U64(56)) | (lo >> _U64(8))
-    order = np.argsort(top, kind="stable")
-    ranked = top[order]
-    rank = np.zeros(len(ranked), dtype=_U64)
-    np.cumsum(ranked[1:] != ranked[:-1], out=rank[1:])
-    low8 = lo[order] & _U64(0xFF)
-    return order[np.argsort((rank << _U64(8)) | low8, kind="stable")]
+    return np.lexsort((lo, hi))  # hi first; lexsort is stable
 
 
 def sorted_codes(hi: np.ndarray | None, lo: np.ndarray,

@@ -157,10 +157,6 @@ class BottleneckLink:
 
 # ------------------------------------------------------------------- traces
 
-def step_trace(steps: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
-    return tuple((float(t), float(c)) for t, c in steps)
-
-
 def random_walk_trace(
     duration: float,
     dt: float,

@@ -3,10 +3,12 @@
 Wires scan source -> encoder -> sender -> link -> receiver -> feedback ->
 controller in one event loop driven by simulated time. All randomness is
 seeded, all state transitions happen inside event handlers, and events are
-handled in (time, priority, insertion counter) order, so a scenario replays
-byte-for-byte.
+handled in (time, priority) order, so a scenario replays byte-for-byte.
+Each kind of event has its own priority, and no two events of one kind are
+ever compared: the heap holds at most one of each, and of the arrivals and
+the reports only the heads are.
 
-Events are (t, prio, counter, handler, payload) tuples in three queues.
+Events are (t, prio, handler, payload) tuples in three queues.
 Arrivals sit in a deque in due order, because FIFO service never ends a
 packet before the one ahead of it and each is due its service end plus
 the propagation delay; feedback reports too, because each is due the
@@ -148,6 +150,9 @@ class _Runner:
                 if scenario.model_path is None:
                     raise RunError("adaptive scenario needs a rate model (model path or object)")
                 model = load_model(scenario.model_path)
+            if model.scan_hz != scenario.scan_hz:
+                raise RunError(f"rate model calibrated at {model.scan_hz} Hz cannot drive"
+                               f" a scenario at {scenario.scan_hz} Hz")
         self.model = model
 
         src = scenario.scan_source
@@ -175,7 +180,6 @@ class _Runner:
         self._heap: list = []  # scan, metrics tick, feedback timer, pace wake
         self._arrivals: deque = deque()  # in due order: FIFO service
         self._feedback: deque = deque()  # in due order: made at now, due now + prop_delay
-        self._counter = 0
         self.now = 0.0
         self._end = scenario.duration + 1e-9  # no event after this is handled
 
@@ -197,8 +201,7 @@ class _Runner:
     # ------------------------------------------------------------ scheduling
 
     def _push(self, t: float, prio: int, handler, payload=None) -> None:
-        heapq.heappush(self._heap, (t, prio, self._counter, handler, payload))
-        self._counter += 1
+        heapq.heappush(self._heap, (t, prio, handler, payload))
 
     # -------------------------------------------------------------- handlers
 
@@ -224,8 +227,7 @@ class _Runner:
         for pkt in packets:
             slot = self.link.enqueue(pkt, pkt.send_time)
             if slot is not None:
-                self._arrivals.append((slot[1], _ARRIVAL, self._counter, self._on_arrival, slot[0]))
-                self._counter += 1
+                self._arrivals.append((slot[1], _ARRIVAL, self._on_arrival, slot[0]))
         # Each block reason has one waker: a pacing block is cleared by the
         # pace timer armed here, a cwnd block by feedback, an idle sender by
         # the next scan.  Only a pace wake paces a sender blocked on pacing,
@@ -258,7 +260,7 @@ class _Runner:
         self._enc_bits += bits
         dropped = self.sender.enqueue_unit(k, UNIT_HEADER_BYTES + nbytes)
         if dropped is not None:
-            self.pending_ptp.pop(dropped, None)
+            del self.pending_ptp[dropped]  # queued since its own _on_scan
             self.summary.scans_dropped_sender += 1
         if self.sender.blocked_reason == "idle":  # a blocked sender has its own waker
             self._pace(t)
@@ -302,9 +304,8 @@ class _Runner:
         """
         report = self.receiver.make_feedback(self.now)
         self.summary.feedback_reports += 1
-        self._feedback.append((self.now + self.link.prop_delay, _FEEDBACK, self._counter,
-                               self._on_feedback, report))
-        self._counter += 1
+        due = self.now + self.link.prop_delay
+        self._feedback.append((due, _FEEDBACK, self._on_feedback, report))
 
     def _on_feedback(self, report: FeedbackReport) -> None:
         # settle first: on_feedback's growth test reads the settled value
@@ -393,7 +394,7 @@ class _Runner:
             else:
                 source.popleft()
             self.now = event[0]
-            event[3](event[4])
+            event[2](event[3])
 
         pending_arrivals = len(arrivals)
         for queue in (heap, arrivals, feedback):  # queued handlers would keep self alive in a cycle

@@ -6,6 +6,12 @@ standardized features.  Standardization matters because the monomials are
 wildly different in magnitude (n**2 dwarfs q by nine orders for typical
 scans); without it the normal equations are hopelessly ill conditioned.
 
+A corpus holds one sensor profile, so the four monomials with n in them
+are constant or collinear with q and c: the fit cannot tell how the rate
+grows with n.  The one evaluator behind `predict` and `build_grid` reads
+the surface at the corpus's point count n_fit and scales it by n / n_fit,
+which is exactly 1 at n_fit.
+
 Inverting the model for a target bitrate is a brute-force argmin over the
 full 17 x 10 = 170 grid; the grid is tiny, exhaustive search is exact and
 free of local-minimum worries.
@@ -21,6 +27,7 @@ import numpy as np
 from .codec import C_MAX, C_MIN, Q_MAX, Q_MIN, CompressionConfig
 
 FEATURE_NAMES = ("q", "c", "n", "q2", "c2", "n2", "qc", "qn", "cn")
+_N = FEATURE_NAMES.index("n")
 RATE_FLOOR_BPS = 1.0
 MODEL_FORMAT = "scanstream-rate-model-v1"
 
@@ -37,12 +44,11 @@ class SelectionError(ValueError):
     """No grid entry satisfies the selection constraints."""
 
 
-def featurize(q: float, c: float, n: float) -> np.ndarray:
-    """Raw degree-2 monomials (q, c, n, q2, c2, n2, qc, qn, cn)."""
-    q = float(q)
-    c = float(c)
-    n = float(n)
-    return np.array([q, c, n, q * q, c * c, n * n, q * c, q * n, c * n])
+def featurize(q, c, n) -> np.ndarray:
+    """Raw degree-2 monomials (q, c, n, q2, c2, n2, qc, qn, cn) on a last axis;
+    q, c and n are scalars or arrays, broadcast together."""
+    q, c, n = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (q, c, n)))
+    return np.stack([q, c, n, q * q, c * c, n * n, q * c, q * n, c * n], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -86,15 +92,15 @@ def fit(samples: list[RateSample], scan_hz: float) -> RateModel:
         raise FitError(f"need at least {MIN_DISTINCT_Q} distinct q values, got {len(qs)}")
     if len(cs) < MIN_DISTINCT_C:
         raise FitError(f"need at least {MIN_DISTINCT_C} distinct c values, got {len(cs)}")
+    ns = {s.n_points for s in samples}
+    if len(ns) > 1:
+        raise FitError(f"samples must share one point count, got {sorted(ns)}")
 
-    X = np.stack([featurize(s.q, s.c, s.n_points) for s in samples])
+    X = featurize(*np.array([(s.q, s.c, s.n_points) for s in samples]).T)
     y = np.array([s.measured_bps for s in samples])
     center = X.mean(axis=0)
     scale = X.std(axis=0)
     degenerate = scale == 0.0
-    if degenerate.all():
-        names = ", ".join(FEATURE_NAMES)
-        raise FitError(f"all features are constant across samples: {names}")
     scale = np.where(degenerate, 1.0, scale)
     Xs = (X - center) / scale
 
@@ -123,10 +129,17 @@ def fit(samples: list[RateSample], scan_hz: float) -> RateModel:
     )
 
 
+def _evaluate(model: RateModel, q, c, n: float):
+    """Predicted bitrate at (q, c): the surface at the corpus's point count
+    n_fit (the mean of a constant column), scaled by n / n_fit and floored."""
+    n_fit = model.feature_center[_N]
+    f = (featurize(q, c, n_fit) - model.feature_center) / model.feature_scale
+    return np.maximum((f @ model.coef + model.intercept) * (n / n_fit), RATE_FLOOR_BPS)
+
+
 def predict(model: RateModel, q: float, c: float, n: float) -> float:
-    """Predicted encoded bitrate in bps, floored at 1 bps."""
-    f = (featurize(q, c, n) - model.feature_center) / model.feature_scale
-    return max(float(model.coef @ f + model.intercept), RATE_FLOOR_BPS)
+    """Predicted encoded bitrate in bps of one config on n-point scans."""
+    return float(_evaluate(model, q, c, n))
 
 
 @dataclass
@@ -148,10 +161,8 @@ def build_grid(model: RateModel, n_points: int) -> ConfigGrid:
     qs, cs = np.meshgrid(np.arange(Q_MIN, Q_MAX + 1), np.arange(C_MIN, C_MAX + 1), indexing="ij")
     qs = qs.ravel()
     cs = cs.ravel()
-    feats = np.stack([featurize(q, c, n_points) for q, c in zip(qs, cs)])
-    scaled = (feats - model.feature_center) / model.feature_scale
-    pred = np.maximum(scaled @ model.coef + model.intercept, RATE_FLOOR_BPS)
-    return ConfigGrid(n_points=n_points, qs=qs, cs=cs, predicted_bps=pred)
+    return ConfigGrid(n_points=n_points, qs=qs, cs=cs,
+                      predicted_bps=_evaluate(model, qs, cs, n_points))
 
 
 def select_from_grid(grid: ConfigGrid, r_trg: float, floor: ConfigFloor,
@@ -222,18 +233,3 @@ def write_samples(path, samples: list[RateSample]) -> None:
         for s in samples:
             writer.writerow([s.q, s.c, s.n_points, repr(s.measured_bps)])
 
-
-def read_samples(path) -> list[RateSample]:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            out.append(
-                RateSample(
-                    q=int(row["q"]),
-                    c=int(row["c"]),
-                    n_points=int(row["n_points"]),
-                    measured_bps=float(row["measured_bps"]),
-                )
-            )
-    return out

@@ -98,6 +98,7 @@ def probe_pacing():
     probe = PaceProbe()
     pace_and_send = DatagramSender.pace_and_send
     on_pace = _Runner._on_pace
+    push = _Runner._push
 
     def counted_pace_and_send(self, *args, **kwargs):
         probe.pace_calls += 1
@@ -109,9 +110,16 @@ def probe_pacing():
         assert not any(entry[1] == _PACE for entry in self._heap), f"two pace events at {self.now}"
         return on_pace(self, *args)
 
+    def checked_push(self, t, prio, *args):
+        # the heap orders by (time, kind) alone, so it holds one event per kind
+        assert not any(entry[1] == prio for entry in self._heap), \
+            f"a second pending event of kind {prio} at {self.now}"
+        return push(self, t, prio, *args)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(DatagramSender, "pace_and_send", counted_pace_and_send)
         mp.setattr(_Runner, "_on_pace", recorded_on_pace)
+        mp.setattr(_Runner, "_push", checked_push)
         yield probe
 
 

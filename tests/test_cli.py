@@ -1,5 +1,6 @@
 """CLI subcommands, invoked in process through cli(argv)."""
 
+import csv
 import json
 
 import pytest
@@ -7,7 +8,7 @@ import yaml
 
 from scanstream.cli import cli
 from scanstream.metrics import read_metrics
-from scanstream.predictor import load_model, read_samples
+from scanstream.predictor import load_model
 from scanstream.residual_opt import min_rate, read_table
 
 
@@ -46,7 +47,8 @@ def test_calibrate_writes_all_artifacts(cal_dir):
     assert len(table.rows) == 170
     assert table.corpus_id.startswith("4x512-")
     # one sample per (config, scan)
-    assert len(read_samples(cal_dir / "samples.csv")) == 170 * 4
+    with open(cal_dir / "samples.csv", newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 170 * 4
     model = load_model(cal_dir / "model.json")
     assert model.diagnostics["rel_rmse"] < 0.15
 
@@ -141,6 +143,18 @@ def test_run_rejects_a_negative_seed_before_running(scenario_path, tmp_path, cap
     assert cli(["run", "--scenario", str(scenario_path), "--seed", "-1", "--out", str(out)]) == 1
     # the scan source's own check, before the link's rng_seed check also fires
     assert capsys.readouterr().err.startswith("error: seed must be a nonnegative integer")
+    assert not out.exists()
+
+
+def test_run_refuses_a_model_of_another_scan_rate(scenario_path, tmp_path, capsys):
+    doc = yaml.safe_load(scenario_path.read_text())
+    doc["scan_hz"] = 20.0
+    path = scenario_path.with_name("scn-20hz.yaml")
+    path.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "m.csv"
+    assert cli(["run", "--scenario", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: rate model calibrated at 10.0 Hz cannot drive a scenario at 20.0 Hz")
     assert not out.exists()
 
 

@@ -9,10 +9,11 @@ recorded while Morton codes were still three 24-bit limbs, before they
 became 64-bit words.  The three run digests (step adaptive, step baseline,
 tiny-MTU) were recorded when the sender's pacer became one next-send time
 in place of a token bucket under a window budget.  The tiny-MTU digest is
-the only lock on the loss path (tail drops, loss cuts, expired partial
-scans, lost sequence numbers leaving the in-flight ledger), which the step
-run never enters; the baseline digest is the only lock on the fixed-rate
-path.  A change that moves any of them changes behaviour, and must say so.
+the only lock on the loss path (tail drops, loss cuts, scans lost in the
+network, lost sequence numbers leaving the in-flight ledger), which the
+step run never enters; the baseline digest is the only lock on the
+fixed-rate path.  A change that moves any of them changes behaviour, and
+must say so.
 
 The two tie-heavy tiny-MTU digests were recorded before arrivals and
 feedback left the event heap for two deques merged with it.  A zero

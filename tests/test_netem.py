@@ -9,7 +9,6 @@ from scanstream.netem import (
     TraceError,
     random_walk_trace,
     read_trace,
-    step_trace,
 )
 from scanstream.transport import CE, ECT1, NOT_ECT, Packet
 
@@ -101,7 +100,7 @@ def test_no_mark_below_threshold():
 
 
 def test_capacity_step_stretches_service():
-    trace = step_trace([(0.0, 8e6), (1.0, 1e6)])
+    trace = ((0.0, 8e6), (1.0, 1e6))
     lk = BottleneckLink(LinkConfig(capacity_trace=trace, prop_delay=0.0,
                                    queue_limit=10**9, ce_threshold=1.0))
     wire = pkt(1).wire_bytes
@@ -114,7 +113,7 @@ def test_capacity_step_stretches_service():
 
 
 def test_packet_straddling_a_step_splits_service():
-    trace = step_trace([(0.0, 8e6), (1.0, 1e6)])
+    trace = ((0.0, 8e6), (1.0, 1e6))
     lk = BottleneckLink(LinkConfig(capacity_trace=trace, prop_delay=0.0,
                                    queue_limit=10**9, ce_threshold=1.0))
     wire = pkt(1).wire_bytes
@@ -140,7 +139,7 @@ def reference_serialize_end(trace, start, bits):
         idx += 1
 
 
-CURSOR_TRACE = step_trace([(0.0, 8e6), (1.0, 1e6), (1.001, 2e6), (1.002, 4e6), (2.0, 3e6)])
+CURSOR_TRACE = ((0.0, 8e6), (1.0, 1e6), (1.001, 2e6), (1.002, 4e6), (2.0, 3e6))
 CURSOR_CASES = [  # (start, bits), in the order service starts come
     (0.5, 8000.0),  # inside the first segment
     (1.0, 100.0),  # exactly on a boundary
@@ -167,7 +166,7 @@ def test_segment_cursor_matches_a_full_search():
 
 
 def test_delivery_times_match_a_full_search_across_steps():
-    trace = step_trace([(0.0, 8e6), (0.0005, 1e6), (0.001, 2e6), (0.0015, 4e6)])
+    trace = ((0.0, 8e6), (0.0005, 1e6), (0.001, 2e6), (0.0015, 4e6))
     lk = BottleneckLink(LinkConfig(capacity_trace=trace, prop_delay=0.01,
                                    queue_limit=10**9, ce_threshold=1.0))
     busy = 0.0
@@ -179,7 +178,7 @@ def test_delivery_times_match_a_full_search_across_steps():
 
 
 def test_capacity_at_lookup():
-    lk = BottleneckLink(LinkConfig(capacity_trace=step_trace([(0.0, 5e6), (10.0, 2e6)])))
+    lk = BottleneckLink(LinkConfig(capacity_trace=((0.0, 5e6), (10.0, 2e6))))
     assert lk.capacity_at(0.0) == 5e6
     assert lk.capacity_at(9.999) == 5e6
     assert lk.capacity_at(10.0) == 2e6
@@ -240,7 +239,7 @@ def test_random_walk_trace_properties():
 
 
 def test_trace_file_roundtrip(tmp_path):
-    trace = step_trace([(0.0, 10e6), (60.0, 3e6), (180.0, 10e6)])
+    trace = ((0.0, 10e6), (60.0, 3e6), (180.0, 10e6))
     path = tmp_path / "trace.csv"
     path.write_text("t_seconds,capacity_bps\n" + "".join(f"{t!r},{c!r}\n" for t, c in trace))
     assert read_trace(path) == trace

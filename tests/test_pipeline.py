@@ -170,6 +170,14 @@ def test_adaptive_run_requires_model(bounds):
         run_scenario(scn, model=None)
 
 
+def test_adaptive_run_refuses_a_model_of_another_scan_rate(bounds, model):
+    # a model's rates are bits per second at its own scan rate: at twice
+    # the rate every pick would send twice what was predicted
+    scn = dataclasses.replace(make_scenario(bounds, duration=1.0), scan_hz=2 * SCAN_HZ)
+    with pytest.raises(RunError, match="calibrated at 10.0 Hz cannot drive a scenario at 20.0 Hz"):
+        run_scenario(scn, model=model)
+
+
 def test_summary_text_report(slack_run):
     text = slack_run.summary.to_text()
     assert "mode                  adaptive" in text

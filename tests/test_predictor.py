@@ -1,7 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
+from conftest import SCAN_HZ, SCENE_SEED
 
-from scanstream.codec import C_MAX, C_MIN, Q_MAX, Q_MIN
+from scanstream.codec import C_MAX, C_MIN, Q_MAX, Q_MIN, sweep
 from scanstream.predictor import (
     FEATURE_NAMES,
     MODEL_FORMAT,
@@ -14,11 +17,11 @@ from scanstream.predictor import (
     fit,
     load_model,
     predict,
-    read_samples,
     save_model,
     select_from_grid,
     write_samples,
 )
+from scanstream.scangen import SensorProfile, generate_corpus
 
 
 def poly_surface(q, c, n):
@@ -38,6 +41,11 @@ def test_featurize_order():
     f = featurize(3.0, 2.0, 10.0)
     assert len(FEATURE_NAMES) == 9
     assert f.tolist() == [3.0, 2.0, 10.0, 9.0, 4.0, 100.0, 6.0, 30.0, 20.0]
+    # arrays broadcast against scalars, one row of monomials per entry
+    rows = featurize(np.array([3, 8]), np.array([2, 1]), 10)
+    assert rows.shape == (2, 9)
+    assert rows[0].tolist() == f.tolist()
+    assert rows[1].tolist() == featurize(8.0, 1.0, 10.0).tolist()
 
 
 def test_fit_recovers_polynomial_surface():
@@ -66,6 +74,28 @@ def test_fit_tolerates_constant_n():
     # fit must cope instead of blowing up
     model = fit(synth_samples(), 10.0)
     assert "n" in model.diagnostics["degenerate_features"]
+
+
+def test_fit_rejects_two_point_counts():
+    mixed = synth_samples(4096)[::2] + synth_samples(8192)[1::2]
+    with pytest.raises(FitError, match="one point count"):
+        fit(mixed, 10.0)
+
+
+@pytest.mark.parametrize("rings,azimuth", [(4, 64), (8, 128), (32, 1024)])
+def test_model_sizes_other_profiles(model, rings, azimuth):
+    # the suite's model is fitted on 16x448 scans alone; scaled by point
+    # count, it sizes every config of a smaller or larger sensor's scans
+    profile = SensorProfile(rings=rings, azimuth_steps=azimuth)
+    qs = list(range(Q_MIN, Q_MAX + 1))
+    cs = list(range(C_MIN, C_MAX + 1))
+    ratios = []
+    for scan in generate_corpus(profile, seed=SCENE_SEED, n_scans=2, scan_hz=SCAN_HZ):
+        for q, sizes, _ in sweep(scan, qs, cs):
+            for c, nbytes in zip(cs, sizes):
+                ratios.append(predict(model, q, c, profile.n_points) / (8 * nbytes * SCAN_HZ))
+    assert len(ratios) == 2 * 170
+    assert 0.8 <= min(ratios) and max(ratios) <= 1.25, (min(ratios), max(ratios))
 
 
 def test_grid_covers_full_product():
@@ -139,6 +169,9 @@ def test_samples_io_roundtrip(tmp_path):
     samples = synth_samples()[:40]
     path = tmp_path / "samples.csv"
     write_samples(path, samples)
-    clone = read_samples(path)
-    assert len(clone) == 40
-    assert clone[7] == samples[7]
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 40
+    row, s = rows[7], samples[7]
+    assert (int(row["q"]), int(row["c"]), int(row["n_points"])) == (s.q, s.c, s.n_points)
+    assert float(row["measured_bps"]) == s.measured_bps
