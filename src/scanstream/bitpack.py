@@ -171,6 +171,17 @@ def sorted_codes(hi: np.ndarray | None, lo: np.ndarray,
     return shi, slo
 
 
+def right_shift(hi: np.ndarray, lo: np.ndarray, k: int, out=None) -> tuple[np.ndarray | None, np.ndarray]:
+    """72-bit codes shifted right by k < 64 bits, as words in the first two
+    rows of `out` (hi None once they fit lo, k >= 8); at k = 0, the input."""
+    if k == 0:
+        return hi, lo
+    olo, ohi = (np.empty((2, len(lo)), dtype=_U64) if out is None else out)[:2]
+    np.right_shift(lo, _U64(k), out=olo)
+    olo |= np.left_shift(hi, _U64(64 - k), out=ohi)
+    return None if k >= VALUE_BITS - 64 else np.right_shift(hi, _U64(k), out=ohi), olo
+
+
 def deltas(hi: np.ndarray | None, lo: np.ndarray, out=None) -> tuple[np.ndarray | None, np.ndarray]:
     """Differences of consecutive sorted codes as words; input must be sorted.
     `out` is a (2, n) uint64 array or taller, whose rows' heads hold them."""

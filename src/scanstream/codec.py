@@ -18,11 +18,12 @@ block by block, the global mode as one block of all n - 1 deltas.
 
 A simulated run and the calibration sweep need only payload sizes and the
 error at those cell centers, so `measure` and `sweep` pack nothing.  One
-kernel serves both: from a scan's cells at q it sorts code values, not
-their order, sizes each c's payload from the deltas, and takes each
-point's error from the cells as axis rows, not a rebuilt scan.  `measure`
-quantizes at its config's q; `sweep` quantizes once, at Q_MAX, and
-shifting a cell index at Q_MAX right by Q_MAX - q gives the one at q.
+kernel serves both: from a scan's cells at q and their codes, in capture
+order and sorted as values (not by a sort order), it sizes each c's
+payload from the deltas, and takes each point's error from the cells as
+axis rows, not a rebuilt scan.  `measure` quantizes, codes and sorts at its
+config's q.  `sweep` does that once, at Q_MAX, then shifts: a cell index at
+q is the one at Q_MAX shifted right by Q_MAX - q, its code by 3 (Q_MAX - q).
 
 Cell indices travel as a (3, n) stack, one row per axis, and Morton codes
 as uint64 words (see bitpack): one word for q <= 21, whose codes have at
@@ -240,22 +241,26 @@ def _delta_stream_plans(dhi: np.ndarray | None, dlo: np.ndarray, cs: list[int]) 
 
     Effort c admits the global width plus the first min(c, 6) block sizes.
     Bit length is monotone, so a stream's width is the bit length of its
-    largest delta.  Each candidate is sized once; returns one (delta_mode,
-    global_width, block_log2, block_widths, nbytes) per c, where nbytes is
-    the exact size of the block width table plus the delta stream.  Ties go
-    to the earlier (simpler) candidate.
+    largest delta.  Block sizes are powers of two and blocks start at 0, so
+    each block is whole blocks of the smallest size cs admits (the last one
+    may be cut short): one reduceat sizes those, and a block's width is the
+    largest of theirs.  Each candidate is sized once; returns one
+    (delta_mode, global_width, block_log2, block_widths, nbytes) per c,
+    where nbytes is the exact size of the block width table plus the delta
+    stream.  Ties go to the earlier (simpler) candidate.
     """
     m = len(dlo)
     width = bitpack.max_code_bit_length(dhi, dlo)
     best = (0, width, 0, None, (m * width + 7) // 8)
     winners = [best]  # winners[k]: best plan among the first k block sizes
-    for block in _BLOCK_SIZES[: min(max(cs, default=0), len(_BLOCK_SIZES))]:
-        if m == 0:
-            break
-        starts = np.arange(0, m, block)
+    blocks = _BLOCK_SIZES[: min(max(cs, default=0), len(_BLOCK_SIZES))] if m else ()
+    if blocks:
+        starts = np.arange(0, m, blocks[-1])
         # a block's largest hi word is 0 only when every delta in it fits its lo word
-        bw = bitpack.code_bit_length(None if dhi is None else np.maximum.reduceat(dhi, starts),
-                                     np.maximum.reduceat(dlo, starts))
+        small = bitpack.code_bit_length(None if dhi is None else np.maximum.reduceat(dhi, starts),
+                                        np.maximum.reduceat(dlo, starts))
+    for block in blocks:
+        bw = np.maximum.reduceat(small, np.arange(0, len(small), block // blocks[-1]))
         # every block but the last is full
         bits = block * int(bw[:-1].sum()) + (m - block * (len(bw) - 1)) * int(bw[-1])
         nbytes = (bits + 7) // 8 + len(bw)
@@ -318,17 +323,17 @@ def encode(scan: PointCloudScan, config: CompressionConfig) -> EncodedUnit:
     return EncodedUnit(scan_id=scan.scan_id, q=config.q, c=config.c, bbox=bbox, payload=payload)
 
 
-def _sizes_and_errors(scan: PointCloudScan, cells: np.ndarray, bbox: np.ndarray, q: int,
-                      cs: list[int], work: Workspace) -> tuple[list[int], np.ndarray]:
-    """Each c of cs's exact payload size for the scan's (3, n) cells at q,
-    and each valid point's error at its cell's center, worked out in `work`.
+def _sizes_and_errors(scan: PointCloudScan, bbox: np.ndarray, q: int, cells: np.ndarray, codes: tuple,
+                      ordered: tuple, cs: list[int], work: Workspace) -> tuple[list[int], np.ndarray]:
+    """Each c of cs's exact payload size for the scan at q, and each valid
+    point's error at its cell's center, from its (3, n) cells at q and their
+    codes (hi, lo) in capture order and sorted, worked out in `work`.
 
     encode stores a perm stream unless its stable sort order is the identity:
-    unless the codes are nondecreasing in capture order.  The errors are a
-    view into `work`, valid until its next use.
+    unless the codes are sorted in capture order.  The deltas may overwrite
+    the codes; the errors are a view into `work`, valid until its next use.
     """
-    hi, lo = bitpack.morton_encode(cells, q, out=(work.index, work.words))
-    shi, slo = bitpack.sorted_codes(hi, lo, out=work.index)
+    (hi, lo), (shi, slo) = codes, ordered
     permuted = not (np.array_equal(slo, lo) and (hi is None or np.array_equal(shi, hi)))
     dhi, dlo = bitpack.deltas(shi, slo, out=work.words)
     n = scan.n_points
@@ -349,9 +354,11 @@ def measure(scan: PointCloudScan, config: CompressionConfig,
     """
     _check_scan_size(scan)
     work = Workspace(scan.n_points) if work is None else work.sized(scan.n_points)
-    bbox = _coding_bbox(scan, config.tight_bbox)
-    cells = _quantize(scan.points, bbox, config.q, (work.rows, work.cells))
-    (nbytes,), errors = _sizes_and_errors(scan, cells, bbox, config.q, [config.c], work)
+    bbox, q = _coding_bbox(scan, config.tight_bbox), config.q
+    cells = _quantize(scan.points, bbox, q, (work.rows, work.cells))
+    codes = bitpack.morton_encode(cells, q, out=(work.index, work.words))
+    ordered = bitpack.sorted_codes(*codes, out=work.index)
+    (nbytes,), errors = _sizes_and_errors(scan, bbox, q, cells, codes, ordered, [config.c], work)
     return nbytes, float(errors.mean())
 
 
@@ -366,21 +373,28 @@ def sweep(
     a bad q or c, an oversized scan and out-of-box points as encode does,
     once iterated.
 
-    The scan is quantized once, at Q_MAX.  t * 2**q is a power-of-two
-    scaling of t * 2**Q_MAX, so the floor and the clamp at t = 1 both
-    commute with the right shift by Q_MAX - q: the cells at q are the
-    shifted cells at Q_MAX, and measure's kernel takes them from there.
+    The scan is quantized, Morton coded and sorted once, at Q_MAX.  t * 2**q
+    is a power-of-two scaling of t * 2**Q_MAX, so the floor and the clamp at
+    t = 1 both commute with the right shift by Q_MAX - q: the cells at q are
+    the shifted cells at Q_MAX.  Bit j of axis a is code bit 3j + a, so their
+    codes are the Q_MAX codes shifted by 3 (Q_MAX - q), and a shift never
+    reverses an order, so the same holds sorted.  measure's kernel takes them.
     """
-    for q in qs:
-        for c in cs:
-            CompressionConfig(q, c, tight_bbox)
+    for q, c in [(q, C_MIN) for q in qs] + [(Q_MIN, c) for c in cs]:  # each q once, each c once
+        CompressionConfig(q, c, tight_bbox)
     _check_scan_size(scan)
     work = Workspace(scan.n_points)
     bbox = _coding_bbox(scan, tight_bbox)
-    top = _quantize(scan.points, bbox, Q_MAX)
+    top = np.empty((8, scan.n_points), dtype=np.uint64)  # Q_MAX cells, codes, sorted codes
+    cells = _quantize(scan.points, bbox, Q_MAX, (work.rows, top[:3]))
+    codes = bitpack.morton_encode(cells, Q_MAX, out=(work.index, top[3:6]))
+    ordered = bitpack.sorted_codes(*codes, out=top[5:])
     for q in qs:
-        cells = np.right_shift(top, np.uint64(Q_MAX - q), out=work.cells)
-        sizes, errors = _sizes_and_errors(scan, cells, bbox, q, cs, work)
+        k = Q_MAX - q
+        sizes, errors = _sizes_and_errors(
+            scan, bbox, q, np.right_shift(cells, np.uint64(k), out=work.cells),
+            bitpack.right_shift(*codes, 3 * k, out=work.words),
+            bitpack.right_shift(*ordered, 3 * k, out=work.index), cs, work)
         yield q, sizes, _stats(errors)
 
 

@@ -120,10 +120,10 @@ def calibrate_detailed(
     """Rate/residual sweep of every (q, c) over a corpus.
 
     Returns the aggregated table plus one RateSample per (scan, q, c) for
-    model fitting.  Each scan is swept by `codec.sweep`, which quantizes
-    it once and takes every entry's rate from its payload size without
-    packing; scans are independent, so the sweep may fan out one scan per
-    task across processes, and results merge in corpus order.
+    model fitting.  Each scan is swept by `codec.sweep`, which quantizes,
+    codes and sorts it once and takes every entry's rate from its payload
+    size without packing; scans are independent, so the sweep may fan out
+    one scan per task across processes, and results merge in corpus order.
     """
     if not corpus:
         raise CalibrationError("calibration corpus is empty")

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scanstream import bitpack
+from scanstream.codec import Q_MAX, Q_MIN
 
 MASK64 = (1 << 64) - 1
 
@@ -113,6 +114,39 @@ def test_sorted_codes_order_codes_whose_top_64_bits_tie(seed):
     assert len(np.unique(lo & np.uint64(0xFF))) > 1
     order = bitpack.sort_order(hi, lo)
     assert to_ints(*bitpack.sorted_codes(hi, lo)) == to_ints(hi[order], lo[order])
+
+
+TOP = (1 << Q_MAX) - 1
+# cell indices at Q_MAX: anywhere, near the grid's top, or from a few values, so codes tie
+AXIS = st.integers(0, TOP) | st.integers(TOP - 64, TOP) | st.sampled_from([0, 1, 1 << 21, TOP])
+# corners, bit-21 straddlers (their codes cross bits 63 and 64) and a repeated
+# point; every q runs it, among them 21 (the last one-word q), WIDE_Q and Q_MAX (k = 0)
+EDGES = [(TOP, TOP, TOP), (1 << 21, 0, 0), (0, 1 << 21, 0), (0, 0, 1 << 21), (TOP, 0, TOP),
+         (0, 0, 0), ((1 << 21) - 1,) * 3, (TOP, TOP, TOP)]
+
+
+@pytest.mark.parametrize("q", range(Q_MIN, Q_MAX + 1))
+@settings(max_examples=20)  # per q
+@given(cells=st.lists(st.tuples(AXIS, AXIS, AXIS), min_size=1, max_size=64))
+@example(cells=EDGES)
+def test_codes_at_q_are_the_q_max_codes_shifted(q, cells):
+    # bit j of axis a is code bit 3j + a, so shifting the cells by Q_MAX - q
+    # shifts their codes by 3 (Q_MAX - q), and a shift keeps sorted codes sorted
+    top = np.array(cells, dtype=np.uint64).T.copy()
+    k = 3 * (Q_MAX - q)
+    hi, lo = bitpack.morton_encode(top, Q_MAX)
+    want_hi, want_lo = bitpack.morton_encode(top >> np.uint64(Q_MAX - q), q)
+    got_hi, got_lo = bitpack.right_shift(hi, lo, k)
+    assert (got_hi is None) == (want_hi is None) == (q < bitpack.WIDE_Q)
+    assert np.array_equal(got_lo, want_lo)
+    assert got_hi is None or np.array_equal(got_hi, want_hi)
+    if k == 0:
+        assert got_hi is hi and got_lo is lo
+    shi, slo = bitpack.right_shift(*bitpack.sorted_codes(hi, lo), k)
+    want_shi, want_slo = bitpack.sorted_codes(want_hi, want_lo)
+    assert np.array_equal(slo, want_slo)
+    assert (shi is None) == (want_shi is None)
+    assert shi is None or np.array_equal(shi, want_shi)
 
 
 @given(q=st.integers(1, 24), n=st.integers(2, 200))

@@ -30,6 +30,7 @@ from scanstream.codec import (
     residual,
     sweep,
 )
+from scanstream.scangen import ScanGenerator, SensorProfile
 
 
 def cloud(n, seed=0, span=40.0):
@@ -209,6 +210,79 @@ def test_sweep_rejects_what_encode_rejects(monkeypatch):
         list(sweep(scan, [12], [0]))
     with pytest.raises(ConfigError):
         measure(scan, CompressionConfig(12, 0))
+
+
+def test_sweep_allocates_nothing_per_q():
+    # one Workspace and one 8-row stack of the Q_MAX cells and codes serve
+    # every q: 17 q peak where 1 does, at most 8 words a point above the
+    # 1,011 KiB the sweep peaked at when it coded and sorted once per q
+    scan = ScanGenerator(SensorProfile(rings=16, azimuth_steps=448), 7).generate(0.0, scan_id=0)
+    cs = list(range(C_MIN, C_MAX + 1))
+    list(sweep(scan, [Q_MIN], cs))  # numpy's first-call caches
+    peaks = []
+    for qs in ([Q_MIN], [Q_MAX], list(range(Q_MIN, Q_MAX + 1))):
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            list(sweep(scan, qs, cs))
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) - min(peaks) <= 16 * 2**10, peaks
+    assert max(peaks) <= 1011 * 2**10 + 8 * 8 * scan.n_points, peaks
+
+
+def reference_plan(values, c):
+    """The plan encode's effort c picks for deltas given as Python ints,
+    each block's width the bit length of its own largest delta."""
+    m = len(values)
+    lengths = [v.bit_length() for v in values]
+    width = max(lengths, default=0)
+    best = (0, width, 0, None, (m * width + 7) // 8)
+    for block in (8192, 4096, 2048, 1024, 512, 256)[: min(c, 6)] if m else ():
+        starts = range(0, m, block)
+        widths = [max(lengths[s : s + block]) for s in starts]
+        bits = sum(min(block, m - s) * w for s, w in zip(starts, widths))
+        nbytes = (bits + 7) // 8 + len(widths)
+        if nbytes < best[4]:
+            best = (1, 0, block.bit_length() - 1, widths, nbytes)
+    return best
+
+
+def plan_deltas(m, pattern, wide):
+    """m deltas as Python ints, up to 72 bits wide (with hi words) or 63."""
+    rng = np.random.default_rng(m)
+    top = 72 if wide else 63
+    if pattern == "tail":  # narrow but for the last delta, alone in the last block
+        lengths = [3] * (m - 1) + [top] if m else []
+    else:  # one width per run of 64 deltas, mostly narrow, some up to the top
+        runs = np.where(rng.random(m // 64 + 1) < 0.8, rng.integers(0, 5, m // 64 + 1),
+                        rng.integers(5, top + 1, m // 64 + 1))
+        lengths = [int(runs[k // 64]) for k in range(m)]
+    return [(1 << (n - 1)) | int(rng.integers(0, 1 << 62)) % (1 << (n - 1)) if n else 0
+            for n in lengths]
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["lo", "hi"])
+@pytest.mark.parametrize("pattern", ["tail", "runs"])
+@pytest.mark.parametrize("m", [0, 1, 255, 256, 257, 7167, 8193])
+def test_delta_stream_plans_match_per_block_widths(m, pattern, wide):
+    # every block width is the largest of its smallest blocks' (the last
+    # block may be cut short); encode shares the plans, so the payload
+    # digest cannot tell a wrong width from a right one
+    values = plan_deltas(m, pattern, wide)
+    dlo = np.array([v & (2**64 - 1) for v in values], dtype=np.uint64)
+    dhi = np.array([v >> 64 for v in values], dtype=np.uint64) if wide else None
+
+    def as_tuple(plan):
+        mode, width, block_log2, block_widths, nbytes = plan
+        return mode, width, block_log2, None if block_widths is None else block_widths.tolist(), nbytes
+
+    cs = list(range(C_MIN, C_MAX + 1))
+    want = [reference_plan(values, c) for c in cs]
+    assert [as_tuple(p) for p in codec._delta_stream_plans(dhi, dlo, cs)] == want
+    for c in cs:
+        assert [as_tuple(p) for p in codec._delta_stream_plans(dhi, dlo, [c])] == [want[c]]
 
 
 def test_payload_nondecreasing_in_q():

@@ -104,9 +104,10 @@ def test_table_aggregates_as_a_per_pair_loop():
                 assert row.measured_bps == stats[:, 3].mean()
 
 
-def test_sweep_quantizes_each_scan_once_and_packs_nothing(monkeypatch):
-    # each q's cells are the Q_MAX cells shifted, and the codes at q are
-    # sorted as values: no sort order, no bytes, no decode
+def test_sweep_codes_and_sorts_each_scan_once_and_packs_nothing(monkeypatch):
+    # each q's cells and codes are the Q_MAX ones shifted, and a shift keeps
+    # the sorted codes sorted: no sort order, no bytes, no decode; and one
+    # config per q and per c checks what all 170 would
     calls = Counter()
 
     def count(module, name):
@@ -118,14 +119,16 @@ def test_sweep_quantizes_each_scan_once_and_packs_nothing(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("morton_encode", "sort_order", "to_bit_matrix", "pack_uint", "pack_width"):
+    for name in ("morton_encode", "sorted_codes", "sort_order", "to_bit_matrix", "pack_uint",
+                 "pack_width"):
         count(bitpack, name)
-    for name in ("_quantize", "encode", "decode"):
+    for name in ("_quantize", "encode", "decode", "CompressionConfig"):
         count(codec, name)
     corpus = generate_corpus(SMALL, seed=6, n_scans=3)
     table, _ = calibrate_detailed(corpus, scan_hz=10.0)
     assert len(table.rows) == 170
-    assert calls == {"_quantize": 3, "morton_encode": 3 * (Q_MAX - Q_MIN + 1)}
+    configs = 3 * (Q_MAX - Q_MIN + 1 + C_MAX - C_MIN + 1)
+    assert calls == {"_quantize": 3, "morton_encode": 3, "sorted_codes": 3, "CompressionConfig": configs}
 
 
 def test_worst_aggregate_upper_bounds_mean():
