@@ -29,10 +29,6 @@ _COMPACT = (
     (16, 0x1F00000000FFFF),
     (32, 0x1FFFFF),
 )
-# x | y << 3 | z << 6 of the top axis bits at q >= WIDE_Q -> code bits 63-71
-_SPREAD_TOP = np.array([sum((v >> (3 * a + j) & 1) << (3 * j + a) for a in range(3) for j in range(3))
-                        for v in range(512)], dtype=_U64)
-
 
 def row_bits(q: int) -> int:
     """Columns of the bit matrix at q: 64 while every code fits `lo`."""
@@ -96,31 +92,23 @@ def morton_encode(cells: np.ndarray, q: int, out=None) -> tuple[np.ndarray | Non
     """Interleave a (3, n) uint64 stack of q-bit cell indices into words (hi, lo).
 
     Bit j of axis a maps to code bit 3j + a; x is the least significant
-    axis.  Bits 0-11 and 12-20 of each axis are looked up in _SPREAD_AXIS,
-    and bits 21-23 (q >= WIDE_Q) land at code bits 63-71.  `out` is two
-    uint64 arrays shaped like cells to work in; the words are rows of the
-    second.
+    axis.  Bits 0-11 of each axis are looked up in _SPREAD_AXIS as code
+    bits 0-35, and bits 12-23 (q > 12) as the 36 bits from code bit 36 on,
+    whose low 28 fill lo and whose top 8 are hi (q >= WIDE_Q).  `out` is
+    two uint64 arrays shaped like cells to work in; the words are rows of
+    the second.
     """
     index, words = (np.empty_like(cells), np.empty_like(cells)) if out is None else out
     lo, hi, part = words
     low = cells if q <= _AXIS_BITS else np.bitwise_and(cells, _AXIS_VALUES[-1], out=index)
     _interleave(lo, low, part)
-    if q > _AXIS_BITS:
-        np.right_shift(cells, _U64(_AXIS_BITS), out=index)
-        index &= _U64((1 << (21 - _AXIS_BITS)) - 1)  # bits 21-23 go below
-        _interleave(hi, index, part)
-        hi <<= _U64(3 * _AXIS_BITS)
-        lo |= hi
+    if q <= _AXIS_BITS:
+        return None, lo
+    _interleave(hi, np.right_shift(cells, _U64(_AXIS_BITS), out=index), part)
+    lo |= np.left_shift(hi, _U64(3 * _AXIS_BITS), out=part)  # wraps past bit 63
     if q < WIDE_Q:
         return None, lo
-    top = np.right_shift(cells, _U64(21), out=index)
-    top[1] <<= _U64(3)
-    top[2] <<= _U64(6)
-    top[0] |= top[1]
-    top[0] |= top[2]
-    np.take(_SPREAD_TOP, top[0].view(np.intp), out=hi, mode="clip")  # code bits 63-71
-    lo |= np.left_shift(hi, _U64(63), out=part)
-    hi >>= _U64(1)
+    hi >>= _U64(64 - 3 * _AXIS_BITS)
     return hi, lo
 
 

@@ -47,6 +47,7 @@ from __future__ import annotations
 import struct
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -168,20 +169,25 @@ class Workspace:
     and `measure`, allocated once by their owner, who passes them to both.
     `sweep` works each q of a scan in one of its own.
 
-    generate writes a scan's points into `points`, over the last scan's.
-    Each stage reuses what earlier stages are done with.  `rows` holds the
-    range grid and noise, then the scaled coordinates; as `index`, the same
-    memory then holds the Morton code's table indices and the sorted codes,
-    and at last, as `rows`, the cell centers and errors.  `words` holds the
-    code words, then their deltas.
+    generate writes a scan's points into `points`, over the last scan's;
+    they are allocated when first used, so the sweep, which reads its scan's
+    points where they are, never allocates them.  Each stage reuses what
+    earlier stages are done with.  `rows` holds the range grid and noise,
+    then the scaled coordinates; as `index`, the same memory then holds the
+    Morton code's table indices and the sorted codes, and at last, as
+    `rows`, the cell centers and errors.  `words` holds the code words,
+    then their deltas.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.points = np.empty((n, 3))
         self.rows = np.empty((3, n))
         self.index = self.rows.view(np.uint64)
         self.cells, self.words = np.empty((2, 3, n), dtype=np.uint64)
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        return np.empty((self.n, 3))
 
     def sized(self, n: int) -> Workspace:
         if n != self.n:

@@ -134,18 +134,6 @@ def can_send(
     return state.bytes_in_flight + next_packet_bytes <= allowance * state.w_ref
 
 
-def _record_owd(state: CongestionState, params: ControlParams, now: float, owd: float) -> None:
-    # queue delay estimate = OWD minus its running min over a sliding window;
-    # the min deque keeps the front as the window minimum in O(1) amortized
-    while state._owd_min and state._owd_min[-1][1] >= owd:
-        state._owd_min.pop()
-    state._owd_min.append((now, owd))
-    horizon = now - params.owd_window
-    while state._owd_min and state._owd_min[0][0] < horizon:
-        state._owd_min.popleft()
-    state.est_queue_delay = max(owd - state._owd_min[0][1], 0.0)
-
-
 def on_feedback(
     state: CongestionState,
     params: ControlParams,
@@ -160,67 +148,83 @@ def on_feedback(
 
     Raises FeedbackProtocolError on regressed counters, leaving the state
     untouched so the caller can log and drop the report.
+
+    The report, w_ref, srtt and the previous counters are read once into
+    locals and w_ref is written once; clamps compare scalars the way min and
+    max would.  update_srtt and target_bitrate own their formulas.
     """
-    # each field read once: CPython 3.11 does not specialise NamedTuple field reads
-    seq = report.highest_acked_seq
-    acked = report.cumulative_acked_bytes
-    ce = report.cumulative_ce_marked_bytes
-    lost = report.cumulative_lost_packets
-    echo = report.echo_timestamp
-    if (
-        acked < state.prev_acked_bytes
-        or ce < state.prev_ce_bytes
-        or lost < state.prev_lost_packets
-        or seq < state.prev_highest_seq
-    ):
+    seq, acked, ce, lost, receiver_ts, echo = report
+    prev_acked, prev_ce = state.prev_acked_bytes, state.prev_ce_bytes
+    prev_lost, prev_seq = state.prev_lost_packets, state.prev_highest_seq
+    if acked < prev_acked or ce < prev_ce or lost < prev_lost or seq < prev_seq:
         raise FeedbackProtocolError(
-            f"feedback counters regressed: acked {acked} "
-            f"(prev {state.prev_acked_bytes}), ce {ce} "
-            f"(prev {state.prev_ce_bytes}), lost {lost} "
-            f"(prev {state.prev_lost_packets}), seq {seq} "
-            f"(prev {state.prev_highest_seq})"
+            f"feedback counters regressed: acked {acked} (prev {prev_acked}), ce {ce} "
+            f"(prev {prev_ce}), lost {lost} (prev {prev_lost}), seq {seq} (prev {prev_seq})"
         )
 
-    new_acked = acked - state.prev_acked_bytes
-    new_ce = ce - state.prev_ce_bytes
-    new_lost = lost - state.prev_lost_packets
+    new_acked = acked - prev_acked
+    new_ce = ce - prev_ce
+    new_lost = lost - prev_lost
+    prev_echo = state.prev_echo
+    srtt = state.srtt
 
-    if new_acked > 0 and echo > state.prev_echo:
+    if new_acked > 0 and echo > prev_echo:
         rtt = now - echo
         if rtt > 0:
-            update_srtt(state, params, rtt)
-        _record_owd(state, params, now, report.receiver_timestamp - echo)
+            srtt = update_srtt(state, params, rtt).srtt
+        # queue delay estimate = OWD minus its running min over a sliding
+        # window; the min deque keeps the front as the window minimum in
+        # O(1) amortized, and the sample just added is never past the horizon
+        owd = receiver_ts - echo
+        owd_min = state._owd_min
+        while owd_min and owd_min[-1][1] >= owd:
+            owd_min.pop()
+        owd_min.append((now, owd))
+        horizon = now - params.owd_window
+        while owd_min[0][0] < horizon:
+            owd_min.popleft()
+        queue_delay = owd - owd_min[0][1]
+        state.est_queue_delay = 0.0 if queue_delay < 0.0 else queue_delay
 
     if new_acked > 0:
-        mark_fraction = min(new_ce / new_acked, 1.0)
+        mark_fraction = new_ce / new_acked
+        if mark_fraction > 1.0:
+            mark_fraction = 1.0
     else:
         mark_fraction = 1.0 if new_ce > 0 else 0.0
 
+    w_ref = state.w_ref
     if new_lost > 0 or mark_fraction > 0.0:
         state.in_slow_start = False
-        srtt = state.srtt if state.srtt is not None else 0.0
-        if now - state.last_decrease_time >= srtt:
+        if now - state.last_decrease_time >= (0.0 if srtt is None else srtt):
             if new_lost > 0:
-                state.w_ref *= 1.0 - params.loss_beta
+                w_ref *= 1.0 - params.loss_beta
             else:
                 weight = state.est_queue_delay / params.queue_delay_target
-                weight = min(max(weight, 0.5), 1.5)
-                state.w_ref *= 1.0 - params.ce_beta * weight * mark_fraction
-            state.w_ref = max(state.w_ref, params.w_min)
+                if weight < 0.5:
+                    weight = 0.5
+                elif weight > 1.5:
+                    weight = 1.5
+                w_ref *= 1.0 - params.ce_beta * weight * mark_fraction
+            if w_ref < params.w_min:
+                w_ref = params.w_min
             state.last_decrease_time = now
-    elif new_acked > 0 and state.bytes_in_flight >= state.w_ref / 4.0:
+    elif new_acked > 0 and state.bytes_in_flight >= w_ref / 4.0:
         # growth needs the window to be actually used; a near-idle sender
         # inflating w_ref would burst far past the path capacity later
         if state.in_slow_start:
-            state.w_ref += new_acked
+            w_ref += new_acked
         else:
-            state.w_ref += params.increase_gain * new_acked * params.mss / state.w_ref
-        state.w_ref = min(state.w_ref, params.w_max)
+            w_ref += params.increase_gain * new_acked * params.mss / w_ref
+        if w_ref > params.w_max:
+            w_ref = params.w_max
+    state.w_ref = w_ref
 
     state.prev_acked_bytes = acked
     state.prev_ce_bytes = ce
     state.prev_lost_packets = lost
     state.prev_highest_seq = seq
-    state.prev_echo = max(state.prev_echo, echo)
+    if echo > prev_echo:
+        state.prev_echo = echo
     state.r_trg = target_bitrate(state)
     return state

@@ -8,8 +8,11 @@ enqueue time; the emulator therefore never needs service events of its own
 and the caller simply schedules each arrival at the returned delivery time.
 
 Service starts never go back, so the link keeps a cursor on the trace
-segment in force at the last one and moves it forward, rather than
-searching the trace for every packet.
+segment in force at the last start it walked from, with that segment's
+capacity and end.  A packet that starts before that end and fits in what
+is left of the segment, by the same test the walk makes, finishes one
+division after its start; only a packet that starts past a step or
+crosses one walks the trace, moving the cursor forward.
 """
 from __future__ import annotations
 
@@ -83,8 +86,11 @@ class BottleneckLink:
         self.loss_rate = config.loss_rate
         self.ledger = LinkLedger()
         self._rng = np.random.default_rng(config.rng_seed)
-        self._trace_times = [t for t, _ in config.capacity_trace]
-        self._segment = 0  # trace index in force at the last service start
+        self._caps = [c for _, c in config.capacity_trace]
+        # each segment's end: the next step, and none after the last
+        self._ends = [t for t, _ in config.capacity_trace[1:]] + [math.inf]
+        self._segment = 0  # trace index in force at the last start the trace was walked from
+        self._cap, self._seg_end = self._caps[0], self._ends[0]  # that segment's
         self._buffer: deque = deque()  # (finish time, wire bytes) of packets not yet serialized
         self._buffer_bytes = 0
         self._busy_until = 0.0  # finish time of the last scheduled packet
@@ -92,24 +98,28 @@ class BottleneckLink:
     # ------------------------------------------------------------ mechanics
 
     def _serialize_end(self, start: float, bits: float) -> float:
-        """Finish time for `bits` starting at `start` (no earlier than the last start)."""
-        trace = self.config.capacity_trace
-        times = self._trace_times
+        """Finish time for `bits` starting at `start` (no earlier than the last start).
+
+        Moves the cursor to the segment in force at `start`, and caches its
+        capacity and end for enqueue's fit test.
+        """
+        caps, ends = self._caps, self._ends
         idx = self._segment
-        while idx + 1 < len(times) and times[idx + 1] <= start:
+        while ends[idx] <= start:
             idx += 1
         self._segment = idx
+        cap = self._cap = caps[idx]
+        seg_end = self._seg_end = ends[idx]
         t = start
         remaining = bits
         while True:
-            cap = trace[idx][1]
-            seg_end = trace[idx + 1][0] if idx + 1 < len(trace) else math.inf
             avail = cap * (seg_end - t)
             if remaining <= avail:
                 return t + remaining / cap
             remaining -= avail
             t = seg_end
             idx += 1
+            cap, seg_end = caps[idx], ends[idx]
 
     # ------------------------------------------------------------- data path
 
@@ -126,19 +136,26 @@ class BottleneckLink:
             ledger.random_lost += 1
             return None
         buffer = self._buffer
+        queued = self._buffer_bytes
         while buffer and buffer[0][0] <= now:  # drop what finished serializing
-            self._buffer_bytes -= buffer.popleft()[1]
-        if self._buffer_bytes + wire > self.queue_limit:
+            queued -= buffer.popleft()[1]
+        if queued + wire > self.queue_limit:
+            self._buffer_bytes = queued
             ledger.tail_dropped += 1
             return None
         ledger.accepted += 1
-        start = max(now, self._busy_until)
-        end = self._serialize_end(start, wire * 8.0)
+        busy = self._busy_until
+        start = busy if busy > now else now
+        bits = wire * 8.0
+        cap = self._cap
+        if bits <= cap * (self._seg_end - start):  # starts and ends in the cached segment
+            end = start + bits / cap
+        else:
+            end = self._serialize_end(start, bits)
         self._busy_until = end
         buffer.append((end, wire))
-        self._buffer_bytes += wire
-        queue_delay = start - now
-        if queue_delay > self.ce_threshold and pkt.ecn == ECT1:
+        self._buffer_bytes = queued + wire
+        if start - now > self.ce_threshold and pkt.ecn == ECT1:  # queuing delay
             pkt.ecn = CE
             ledger.ce_marked += 1
         return pkt, end + self.prop_delay
@@ -147,8 +164,7 @@ class BottleneckLink:
 
     def capacity_at(self, t: float) -> float:
         """Trace capacity in force at time t."""
-        idx = max(bisect_right(self._trace_times, t) - 1, 0)
-        return self.config.capacity_trace[idx][1]
+        return self._caps[bisect_right(self._ends, t)]
 
     def queue_delay(self, now: float) -> float:
         """Queuing delay an arrival at `now` would experience."""

@@ -224,10 +224,12 @@ class _Runner:
                     f"in-flight bytes {bif} exceed "
                     f"{self.ccp.overshoot_factor} x w_ref {cc.w_ref} at t={pkt.send_time:.6f}"
                 )
+        # the per-packet callees, bound once per train
+        enqueue, arrive, on_arrival = self.link.enqueue, self._arrivals.append, self._on_arrival
         for pkt in packets:
-            slot = self.link.enqueue(pkt, pkt.send_time)
+            slot = enqueue(pkt, pkt.send_time)
             if slot is not None:
-                self._arrivals.append((slot[1], _ARRIVAL, self._on_arrival, slot[0]))
+                arrive((slot[1], _ARRIVAL, on_arrival, slot[0]))
         # Each block reason has one waker: a pacing block is cleared by the
         # pace timer armed here, a cwnd block by feedback, an idle sender by
         # the next scan.  Only a pace wake paces a sender blocked on pacing,
@@ -238,9 +240,11 @@ class _Runner:
 
     def _on_pace(self, _payload) -> None:
         until = min(self.now + self.link.prop_delay, self._end)
-        for queue in (self._heap, self._feedback):
-            if queue and queue[0][0] < until:
-                until = queue[0][0]
+        heap, feedback = self._heap, self._feedback
+        if heap and heap[0][0] < until:
+            until = heap[0][0]
+        if feedback and feedback[0][0] < until:
+            until = feedback[0][0]
         self._pace(until)
 
     def _on_scan(self, k: int) -> None:
@@ -272,18 +276,19 @@ class _Runner:
             self._push(nxt / self.sc.scan_hz, _SCAN, self._on_scan, nxt)
 
     def _on_arrival(self, pkt: Packet) -> None:
+        receiver = self.receiver
         self.summary.packets_received += 1
-        if pkt.scan_id > self.receiver.newest_scan_id:
+        if pkt.scan_id > receiver.newest_scan_id:
             # a newer scan's first packet: every older one has sent all it
             # ever will, so those still pending are lost
             lost = list(takewhile(lambda sid: sid < pkt.scan_id, self.pending_ptp))
             for sid in lost:
                 del self.pending_ptp[sid]
             self.summary.scans_lost_network += len(lost)
-        scan_id = self.receiver.receive_packet(pkt, self.now)
+        scan_id = receiver.receive_packet(pkt, self.now)
         if scan_id is not None:
             self._deliver(scan_id)
-        if self.adaptive and self.receiver.should_report():
+        if self.adaptive and receiver.should_report():
             self._emit_feedback()
 
     def _deliver(self, scan_id: int) -> None:
@@ -308,16 +313,15 @@ class _Runner:
         self._feedback.append((due, _FEEDBACK, self._on_feedback, report))
 
     def _on_feedback(self, report: FeedbackReport) -> None:
+        cc = self.cc
         # settle first: on_feedback's growth test reads the settled value
-        self.sender.reconcile_inflight(self.cc, report.highest_acked_seq)
+        self.sender.reconcile_inflight(cc, report.highest_acked_seq)
         try:
-            on_feedback(self.cc, self.ccp, report, self.now)
+            on_feedback(cc, self.ccp, report, self.now)
         except FeedbackProtocolError as e:
             raise RunError(f"feedback protocol violation at t={self.now:.6f}: {e}") from e
-        if not (self.cc.r_min <= self.cc.r_trg <= self.cc.r_max):
-            raise RunError(
-                f"r_trg {self.cc.r_trg} left [{self.cc.r_min}, {self.cc.r_max}] at t={self.now:.6f}"
-            )
+        if not (cc.r_min <= cc.r_trg <= cc.r_max):
+            raise RunError(f"r_trg {cc.r_trg} left [{cc.r_min}, {cc.r_max}] at t={self.now:.6f}")
         if self.sender.blocked_reason == "cwnd":
             self._pace(self.now)
 

@@ -71,24 +71,19 @@ class TransportParams:
             raise ValueError("feedback_every_packets must be >= 1")
 
 
-@dataclass
-class _Frame:
-    scan_id: int
-    nbytes: int
-    frag_count: int
-    next_index: int = 0
-
-
 class DatagramSender:
     """Sender half: unit queue, fragmentation, window gate, pacer."""
 
     def __init__(self, params: TransportParams):
         self.params = params
-        self.queue: deque[tuple[int, int]] = deque()  # (scan id, unit bytes)
+        # (scan id, unit bytes, fragment count) of each unit waiting to be sent
+        self.queue: deque[tuple[int, int, int]] = deque()
         self.next_seq = 1  # seq 0 means "nothing acked yet": next_seq - 1 packets sent
         self.sent_wire_bytes = 0
         self.blocked_reason = "idle"
-        self._frame: _Frame | None = None
+        # the queue entry of the unit being sent, and its next fragment's index
+        self._frame: tuple[int, int, int] | None = None
+        self._frag_index = 0
         self._next_send = 0.0  # no packet may leave before this time
         # (seq, wire bytes) of every packet sent under a controller and not
         # yet acked or known lost, in seq order: the entries behind
@@ -100,14 +95,18 @@ class DatagramSender:
     def enqueue_unit(self, scan_id: int, nbytes: int) -> int | None:
         """Append a unit of nbytes, header included; beyond the cap the oldest is dropped.
 
-        Returns the id of the scan dropped, or None.
+        Returns the id of the scan dropped, or None.  A unit must fit the
+        65535 fragments a packet header can number.
         """
         if nbytes < 1:
             raise ValueError(f"a unit needs at least one byte, got {nbytes}")
+        frag_count = -(-nbytes // self.params.mtu_payload)
+        if frag_count > 65535:
+            raise ValueError(f"unit of {nbytes} bytes exceeds 65535 fragments")
         dropped = None
         if len(self.queue) >= self.params.sender_queue_cap:
             dropped = self.queue.popleft()[0]
-        self.queue.append((scan_id, nbytes))
+        self.queue.append((scan_id, nbytes, frag_count))
         return dropped
 
     @property
@@ -134,47 +133,50 @@ class DatagramSender:
         gap is set by the rate in force when its packet left.
         cc_state None disables the congestion window gate and the in-flight
         ledger entirely (fixed-rate baseline operation: no feedback ever
-        settles a seq); pacing still applies.
+        settles a seq); pacing still applies.  The frame, the next-send time,
+        the next seq and the sent bytes live in locals while the train leaves,
+        and go back to the sender once, when it stops.
         """
         if pacing_rate <= 0:
             raise ValueError(f"pacing_rate must be positive, got {pacing_rate}")
         out: list[Packet] = []
         mtu = self.params.mtu_payload
         rate_bytes = self.params.pacing_headroom * pacing_rate / 8.0
+        queue, inflight = self.queue, self._inflight
+        frame, index = self._frame, self._frag_index
+        next_send, seq, sent_wire_bytes = self._next_send, self.next_seq, self.sent_wire_bytes
         while True:
-            if self._frame is None:
-                if not self.queue:
-                    self.blocked_reason = "idle"
+            if frame is None:
+                if not queue:
+                    reason = "idle"
                     break
-                scan_id, nbytes = self.queue.popleft()
-                frag_count = -(-nbytes // mtu)
-                if frag_count > 65535:
-                    raise ValueError(f"unit of {nbytes} bytes exceeds 65535 fragments")
-                self._frame = _Frame(scan_id, nbytes, frag_count)
-            frame = self._frame
-            sent_bytes = frame.next_index * mtu  # every fragment but the last is full
-            wire = PACKET_HEADER_BYTES + min(mtu, frame.nbytes - sent_bytes)
+                frame, index = queue.popleft(), 0
+            scan_id, nbytes, frag_count = frame
+            sent_bytes = index * mtu  # every fragment but the last is full
+            rest = nbytes - sent_bytes
+            wire = PACKET_HEADER_BYTES + (mtu if rest > mtu else rest)
             if cc_state is not None and not can_send(cc_state, cc_params, wire, sent_bytes):
-                self.blocked_reason = "cwnd"
+                reason = "cwnd"
                 break
-            if now < self._next_send:
-                if self._next_send >= until:
-                    self.blocked_reason = "pacing"
+            if now < next_send:
+                if next_send >= until:
+                    reason = "pacing"
                     break
-                now = self._next_send
-            seq = self.next_seq
+                now = next_send
             # seq, scan_id, frag_index, frag_count, send_time, ecn, wire_bytes
-            out.append(Packet(seq, frame.scan_id, frame.next_index, frame.frag_count,
-                              now, ECT1, wire))
-            self.next_seq = seq + 1
-            self.sent_wire_bytes += wire
-            self._next_send = now + wire / rate_bytes
+            out.append(Packet(seq, scan_id, index, frag_count, now, ECT1, wire))
             if cc_state is not None:
-                self._inflight.append((seq, wire))
+                inflight.append((seq, wire))
                 cc_state.bytes_in_flight += wire
-            frame.next_index += 1
-            if frame.next_index == frame.frag_count:
-                self._frame = None
+            seq += 1
+            sent_wire_bytes += wire
+            next_send = now + wire / rate_bytes
+            index += 1
+            if index == frag_count:
+                frame = None
+        self.blocked_reason = reason
+        self._frame, self._frag_index = frame, index
+        self._next_send, self.next_seq, self.sent_wire_bytes = next_send, seq, sent_wire_bytes
         return out
 
     def next_send_opportunity(self) -> float | None:
@@ -236,10 +238,11 @@ class DatagramReceiver:
         first never counts toward it, and a completed scan is never
         completed again.
         """
-        if pkt.seq <= self.highest_seq:
+        seq, highest = pkt.seq, self.highest_seq
+        if seq <= highest:
             return None
-        self.cumulative_lost_packets += pkt.seq - self.highest_seq - 1
-        self.highest_seq = pkt.seq
+        self.cumulative_lost_packets += seq - highest - 1
+        self.highest_seq = seq
         wire = pkt.wire_bytes
         self.cumulative_acked_bytes += wire
         if pkt.ecn == CE:
@@ -248,14 +251,16 @@ class DatagramReceiver:
         self.newest_arrival_time = now
         self.packets_since_report += 1
 
-        if pkt.scan_id > self.newest_scan_id:
-            self.newest_scan_id, self._frag_count, self._received = pkt.scan_id, pkt.frag_count, 0
-        elif pkt.scan_id < self.newest_scan_id:
+        scan_id, frag_count = pkt.scan_id, pkt.frag_count
+        if scan_id > self.newest_scan_id:
+            self.newest_scan_id, self._frag_count, self._received = scan_id, frag_count, 0
+        elif scan_id < self.newest_scan_id:
             return None
-        if pkt.frag_count != self._frag_count:
+        if frag_count != self._frag_count:
             return None
-        self._received += 1  # past the count once complete: never complete again
-        return pkt.scan_id if self._received == self._frag_count else None
+        received = self._received + 1  # past the count once complete: never complete again
+        self._received = received
+        return scan_id if received == frag_count else None
 
     def should_report(self) -> bool:
         """Every feedback_every_packets arrivals; the run's timer makes the

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from scanstream.congestion import ControlParams
-from scanstream.netem import LinkConfig, random_walk_trace
+from scanstream.netem import BottleneckLink, LinkConfig, random_walk_trace
 from scanstream.pipeline import _PACE, _Runner, run_scenario
 from scanstream.predictor import fit, save_model
 from scanstream.residual_opt import calibrate_detailed, min_rate, write_table
@@ -86,10 +86,12 @@ def _timed(name: str, builder):
 
 @dataclass
 class PaceProbe:
-    """What the sender's pacing did during one run."""
+    """What the sender's pacing and the link's service did during one run."""
 
     pace_calls: int = 0  # DatagramSender.pace_and_send calls, from any handler
     wake_instants: list[float] = field(default_factory=list)  # pace events handled
+    trace_walks: int = 0  # BottleneckLink._serialize_end calls
+    trace_steps: int = 0  # capacity steps in the run's link trace
 
 
 @contextmanager
@@ -97,12 +99,18 @@ def probe_pacing():
     """Count pacing work in the runs made inside the block."""
     probe = PaceProbe()
     pace_and_send = DatagramSender.pace_and_send
+    serialize_end = BottleneckLink._serialize_end
     on_pace = _Runner._on_pace
     push = _Runner._push
 
     def counted_pace_and_send(self, *args, **kwargs):
         probe.pace_calls += 1
         return pace_and_send(self, *args, **kwargs)
+
+    def counted_serialize_end(self, *args):
+        probe.trace_walks += 1
+        probe.trace_steps = len(self.config.capacity_trace) - 1
+        return serialize_end(self, *args)
 
     def recorded_on_pace(self, *args):
         probe.wake_instants.append(self.now)
@@ -118,6 +126,7 @@ def probe_pacing():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(DatagramSender, "pace_and_send", counted_pace_and_send)
+        mp.setattr(BottleneckLink, "_serialize_end", counted_serialize_end)
         mp.setattr(_Runner, "_on_pace", recorded_on_pace)
         mp.setattr(_Runner, "_push", checked_push)
         yield probe

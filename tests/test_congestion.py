@@ -1,10 +1,14 @@
+import copy
 import math
+from dataclasses import fields
+from typing import NamedTuple
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scanstream.congestion import (
+    CongestionState,
     ControlParams,
     FeedbackProtocolError,
     FeedbackReport,
@@ -227,6 +231,160 @@ def test_state_invariants_under_random_feedback(steps):
         assert state.est_queue_delay >= 0.0
         if state.srtt is not None:
             assert state.srtt > 0
+
+
+# ------------------------------------------------- differential reference
+
+
+def _reference_record_owd(state: CongestionState, params: ControlParams, now: float, owd: float) -> None:
+    # queue delay estimate = OWD minus its running min over a sliding window;
+    # the min deque keeps the front as the window minimum in O(1) amortized
+    while state._owd_min and state._owd_min[-1][1] >= owd:
+        state._owd_min.pop()
+    state._owd_min.append((now, owd))
+    horizon = now - params.owd_window
+    while state._owd_min and state._owd_min[0][0] < horizon:
+        state._owd_min.popleft()
+    state.est_queue_delay = max(owd - state._owd_min[0][1], 0.0)
+
+
+def reference_on_feedback(
+    state: CongestionState,
+    params: ControlParams,
+    report: FeedbackReport,
+    now: float,
+) -> CongestionState:
+    """on_feedback as a plain state machine: every field read and written
+    where the rule needs it, min and max for the clamps."""
+    # each field read once: CPython 3.11 does not specialise NamedTuple field reads
+    seq = report.highest_acked_seq
+    acked = report.cumulative_acked_bytes
+    ce = report.cumulative_ce_marked_bytes
+    lost = report.cumulative_lost_packets
+    echo = report.echo_timestamp
+    if (
+        acked < state.prev_acked_bytes
+        or ce < state.prev_ce_bytes
+        or lost < state.prev_lost_packets
+        or seq < state.prev_highest_seq
+    ):
+        raise FeedbackProtocolError(
+            f"feedback counters regressed: acked {acked} "
+            f"(prev {state.prev_acked_bytes}), ce {ce} "
+            f"(prev {state.prev_ce_bytes}), lost {lost} "
+            f"(prev {state.prev_lost_packets}), seq {seq} "
+            f"(prev {state.prev_highest_seq})"
+        )
+
+    new_acked = acked - state.prev_acked_bytes
+    new_ce = ce - state.prev_ce_bytes
+    new_lost = lost - state.prev_lost_packets
+
+    if new_acked > 0 and echo > state.prev_echo:
+        rtt = now - echo
+        if rtt > 0:
+            update_srtt(state, params, rtt)
+        _reference_record_owd(state, params, now, report.receiver_timestamp - echo)
+
+    if new_acked > 0:
+        mark_fraction = min(new_ce / new_acked, 1.0)
+    else:
+        mark_fraction = 1.0 if new_ce > 0 else 0.0
+
+    if new_lost > 0 or mark_fraction > 0.0:
+        state.in_slow_start = False
+        srtt = state.srtt if state.srtt is not None else 0.0
+        if now - state.last_decrease_time >= srtt:
+            if new_lost > 0:
+                state.w_ref *= 1.0 - params.loss_beta
+            else:
+                weight = state.est_queue_delay / params.queue_delay_target
+                weight = min(max(weight, 0.5), 1.5)
+                state.w_ref *= 1.0 - params.ce_beta * weight * mark_fraction
+            state.w_ref = max(state.w_ref, params.w_min)
+            state.last_decrease_time = now
+    elif new_acked > 0 and state.bytes_in_flight >= state.w_ref / 4.0:
+        # growth needs the window to be actually used; a near-idle sender
+        # inflating w_ref would burst far past the path capacity later
+        if state.in_slow_start:
+            state.w_ref += new_acked
+        else:
+            state.w_ref += params.increase_gain * new_acked * params.mss / state.w_ref
+        state.w_ref = min(state.w_ref, params.w_max)
+
+    state.prev_acked_bytes = acked
+    state.prev_ce_bytes = ce
+    state.prev_lost_packets = lost
+    state.prev_highest_seq = seq
+    state.prev_echo = max(state.prev_echo, echo)
+    state.r_trg = target_bitrate(state)
+    return state
+
+
+class Step(NamedTuple):
+    """One report's change to the receiver's counters and the clock."""
+
+    acked: int  # new acked bytes
+    ce: int  # new CE-marked bytes; more than the acked ones clamps the fraction at 1
+    lost: int  # new losses
+    seq: int  # highest acked seq advance
+    dt: float  # clock advance
+    rtt: float  # now - echo: no sample at 0, and none when the echo does not advance
+    owd: float  # receiver timestamp - echo
+    in_flight: int  # bytes in flight, settled by the caller
+    regress: str | None  # a counter to send below its last accepted value
+
+
+STEPS = st.builds(
+    Step, st.integers(0, 3000), st.integers(0, 3000), st.integers(0, 2), st.integers(0, 3),
+    st.floats(0.0, 0.05), st.floats(0.0, 0.1), st.floats(0.0, 0.05), st.integers(0, 200_000),
+    st.sampled_from((None,) * 8 + ("acked", "ce", "lost", "seq")),
+)
+
+
+def state_fields(state):
+    return {f.name: copy.copy(getattr(state, f.name)) for f in fields(CongestionState)}
+
+
+@given(st.sampled_from([10.0, 0.03]), st.lists(STEPS, min_size=1, max_size=40))
+@settings(max_examples=400)
+@example(10.0, [Step(2400, 1200, 1, 2, 0.01, 0.04, 0.02, 5000, None)])  # loss and CE at once
+@example(10.0, [Step(0, 1200, 0, 0, 0.01, 0.04, 0.02, 5000, None)])  # CE, no new acks
+@example(10.0, [Step(20_000, 0, 0, 1, 0.05, 0.04, 0.0, 20_000, None),  # CE cuts at the clamps:
+                Step(1000, 1050, 0, 1, 0.01, 0.04, 0.04, 5000, None),  # fraction 1.05, weight 2
+                Step(1200, 600, 0, 1, 0.05, 0.04, 0.009, 5000, None)])  # weight 0.45
+@example(10.0, [Step(1200, 0, 0, 1, 0.05, 0.04, 0.02, 0, None),  # the first RTT sample
+                Step(1200, 0, 0, 1, 0.01, 0.04, 0.01, 5000, None)])
+@example(10.0, [Step(1200, 0, 0, 1, 0.05, 0.04, 0.02, 0, None),
+                Step(1200, 0, 0, 1, 0.01, 0.04, 0.02, 0, "seq")])  # a regressed counter
+def test_on_feedback_matches_its_plain_reference(owd_window, steps):
+    params = ControlParams(owd_window=owd_window)
+    state, ref = init_state(params, 3.0e6, 10.0e6), init_state(params, 3.0e6, 10.0e6)
+    counters = {"acked": 0, "ce": 0, "lost": 0, "seq": 0}
+    now = 0.0
+    for step in steps:
+        now += step.dt
+        state.bytes_in_flight = ref.bytes_in_flight = step.in_flight
+        sent = {name: counters[name] + getattr(step, name) for name in counters}
+        if step.regress is not None:
+            last = {"acked": state.prev_acked_bytes, "ce": state.prev_ce_bytes,
+                    "lost": state.prev_lost_packets, "seq": state.prev_highest_seq}
+            sent[step.regress] = last[step.regress] - 1
+        echo = now - step.rtt
+        rep = FeedbackReport(sent["seq"], sent["acked"], sent["ce"], sent["lost"],
+                             echo + step.owd, echo)
+        before = state_fields(state)
+        if step.regress is not None:
+            with pytest.raises(FeedbackProtocolError):
+                on_feedback(state, params, rep, now)
+            with pytest.raises(FeedbackProtocolError):
+                reference_on_feedback(ref, params, rep, now)
+            assert state_fields(state) == before
+        else:
+            on_feedback(state, params, rep, now)
+            reference_on_feedback(ref, params, rep, now)
+            counters = sent
+        assert state_fields(state) == state_fields(ref)
 
 
 def test_params_validation():

@@ -2,6 +2,8 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from scanstream.netem import (
     BottleneckLink,
@@ -165,16 +167,70 @@ def test_segment_cursor_matches_a_full_search():
         assert fresh._serialize_end(start, bits) == end, (start, bits)
 
 
+def assert_enqueue_matches_a_full_search(trace, offers):
+    """Every packet of `offers`, (offer time, wire bytes) in time order, is
+    delivered a propagation delay after the reference says its service ends."""
+    lk = BottleneckLink(LinkConfig(capacity_trace=trace, prop_delay=0.01,
+                                   queue_limit=10**12, ce_threshold=1.0))
+    busy = 0.0
+    for i, (now, wire) in enumerate(offers, start=1):
+        busy, _ = reference_serialize_end(trace, max(now, busy), wire * 8.0)
+        _, at = lk.enqueue(pkt(i, wire=wire), now)
+        assert at == busy + 0.01, (i, now, wire)
+
+
 def test_delivery_times_match_a_full_search_across_steps():
     trace = ((0.0, 8e6), (0.0005, 1e6), (0.001, 2e6), (0.0015, 4e6))
-    lk = BottleneckLink(LinkConfig(capacity_trace=trace, prop_delay=0.01,
-                                   queue_limit=10**9, ce_threshold=1.0))
-    busy = 0.0
-    for i in range(1, 40):
-        now = i * 1e-4
-        start = max(now, busy)
-        busy, _ = reference_serialize_end(trace, start, 8.0 * 100)
-        assert lk.enqueue(pkt(i, wire=100), now) == (pkt(i, wire=100), busy + 0.01)
+    assert_enqueue_matches_a_full_search(trace, [(i * 1e-4, 100) for i in range(1, 40)])
+
+
+def test_enqueue_matches_a_full_search_on_the_cursor_cases():
+    # most starts fit the cached segment and take enqueue's one division;
+    # the rest walk the trace
+    assert_enqueue_matches_a_full_search(
+        CURSOR_TRACE, [(start, bits / 8.0) for start, bits in CURSOR_CASES])
+
+
+def test_enqueue_matches_a_full_search_on_a_seeded_schedule():
+    # back-to-back trains and idle gaps over 40 steps, some shorter than a packet
+    rng = np.random.default_rng(5)
+    times = np.cumsum(rng.choice([1e-4, 2e-3, 0.05], size=40))
+    trace = ((0.0, 4e6),) + tuple(zip(times.tolist(), rng.uniform(1e5, 1e7, 40).tolist()))
+    gaps = np.where(rng.random(3000) < 0.8, 0.0, rng.exponential(2e-3, 3000))
+    offers = list(zip(np.cumsum(gaps).tolist(), rng.integers(28, 1228, 3000).tolist()))
+    assert_enqueue_matches_a_full_search(trace, offers)
+
+
+@st.composite
+def traces_and_offers(draw):
+    steps = draw(st.lists(st.tuples(st.floats(1e-5, 0.01), st.floats(1e5, 1e7)), max_size=8))
+    trace, t = [(0.0, draw(st.floats(1e5, 1e7)))], 0.0
+    for gap, cap in steps:
+        t += gap
+        trace.append((t, cap))
+    offers, now = [], 0.0
+    for gap, wire in draw(st.lists(st.tuples(st.floats(0.0, 0.005), st.integers(28, 1227)),
+                                   min_size=1, max_size=60)):
+        now += gap
+        offers.append((now, wire))
+    return tuple(trace), offers
+
+
+@given(traces_and_offers())
+# the cached segment's fit test must be the walk's: 800 bits at 10 Mbps from
+# 59.99992 s cross the step at 60 s by the walk's test, and end 30 fs past
+# it, though start + bits / cap rounds to 60.0 exactly
+@example(((((0.0, 10e6), (60.0, 1e6)), [(0.0, 100), (59.99992, 100)])))
+def test_enqueue_matches_a_full_search_on_random_schedules(trace_and_offers):
+    assert_enqueue_matches_a_full_search(*trace_and_offers)
+
+
+def test_the_example_tells_the_two_fit_tests_apart():
+    # the walk ends this packet in the second segment; start + bits / cap
+    # would keep it in the first
+    trace = ((0.0, 10e6), (60.0, 1e6))
+    assert reference_serialize_end(trace, 59.99992, 800.0) == (60.00000000000003, 1)
+    assert 59.99992 + 800.0 / 10e6 <= 60.0
 
 
 def test_capacity_at_lookup():

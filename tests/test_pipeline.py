@@ -221,6 +221,21 @@ def test_pacing_work_per_packet(name, fixture, limit, request):
     assert len(set(probe.wake_instants)) == len(probe.wake_instants)
 
 
+@pytest.mark.parametrize("name, fixture", [
+    ("tiny-mtu", "tiny_mtu_run"),
+    ("step-adaptive", "adaptive_run"),
+])
+def test_link_walks_its_trace_only_around_steps(name, fixture, request):
+    # a packet that starts and ends in the segment the link has cached is
+    # timed by one division; only the packet that crosses a step and the
+    # first to start past it walk the trace
+    result = request.getfixturevalue(fixture)
+    probe = PACE_PROBES[name]
+    assert probe.trace_steps >= 2
+    assert 1 <= probe.trace_walks <= 1 + 2 * probe.trace_steps
+    assert probe.trace_walks < result.summary.packets_sent / 1000
+
+
 def test_overshoot_error_names_the_packet_that_broke_the_bound(bounds, model, monkeypatch):
     # With the window gate open the sender overshoots in its first long
     # train.  In-flight bytes only grow within a train, so the error must
