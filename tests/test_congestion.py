@@ -256,7 +256,6 @@ def reference_on_feedback(
 ) -> CongestionState:
     """on_feedback as a plain state machine: every field read and written
     where the rule needs it, min and max for the clamps."""
-    # each field read once: CPython 3.11 does not specialise NamedTuple field reads
     seq = report.highest_acked_seq
     acked = report.cumulative_acked_bytes
     ce = report.cumulative_ce_marked_bytes

@@ -82,6 +82,19 @@ def test_enqueue_rejects_an_empty_unit():
         DatagramSender(TransportParams()).enqueue_unit(0, 0)
 
 
+def test_enqueue_rejects_a_unit_beyond_65535_fragments():
+    # the header numbers fragments in 16 bits: the unit is refused on entry,
+    # before the queue cap could drop it
+    sender = DatagramSender(TransportParams(mtu_payload=100, sender_queue_cap=1))
+    sender.enqueue_unit(0, SMALL_UNIT)
+    for nbytes in (65535 * 100 + 1, 65536 * 100):
+        with pytest.raises(ValueError):
+            sender.enqueue_unit(1, nbytes)
+        assert list(sender.queue) == [(0, SMALL_UNIT, 7)]
+    assert sender.enqueue_unit(2, 65535 * 100) == 0
+    assert list(sender.queue) == [(2, 65535 * 100, 65535)]
+
+
 def test_drop_oldest_beyond_cap():
     params = TransportParams(sender_queue_cap=3)
     sender = DatagramSender(params)
