@@ -169,14 +169,15 @@ class Workspace:
     and `measure`, allocated once by their owner, who passes them to both.
     `sweep` works each q of a scan in one of its own.
 
-    generate writes a scan's points into `points`, over the last scan's;
-    they are allocated when first used, so the sweep, which reads its scan's
-    points where they are, never allocates them.  Each stage reuses what
-    earlier stages are done with.  `rows` holds the range grid and noise,
-    then the scaled coordinates; as `index`, the same memory then holds the
-    Morton code's table indices and the sorted codes, and at last, as
-    `rows`, the cell centers and errors.  `words` holds the code words,
-    then their deltas.
+    generate writes a scan's points into `points`, over the last scan's, as
+    axis rows: the (n, 3) view of a (3, n) array, whose rows hold the range
+    grid and noise until x, y and z are made from them.  They are allocated
+    when first used, so the sweep, which reads its scan's points where they
+    are, never allocates them.  measure's stages reuse what earlier ones are
+    done with: `rows` holds the scaled coordinates; as `index`, the same
+    memory then holds the Morton code's table indices and the sorted codes,
+    and at last, as `rows`, the cell centers and errors.  `words` holds the
+    code words, then their deltas.
     """
 
     def __init__(self, n: int):
@@ -187,7 +188,7 @@ class Workspace:
 
     @cached_property
     def points(self) -> np.ndarray:
-        return np.empty((self.n, 3))
+        return np.empty((3, self.n)).T
 
     def sized(self, n: int) -> Workspace:
         if n != self.n:
@@ -195,27 +196,39 @@ class Workspace:
         return self
 
 
+def _box_constants(bbox: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A box's low corner, extent and safe extent (1 on a flat axis), float64 (3, 1) columns."""
+    if bbox is _DEFAULT_F32_BBOX:
+        return _DEFAULT_BOX  # computed once, at import
+    lo, hi = bbox.astype(np.float64).reshape(2, 3, 1)
+    return lo, hi - lo, np.where(hi > lo, hi - lo, 1.0)
+
+
+_DEFAULT_BOX = _box_constants(_DEFAULT_F32_BBOX.copy())  # a copy is not the default itself
+
+
 def _quantize(points: np.ndarray, bbox: np.ndarray, q: int, out=None) -> np.ndarray:
     """Cell indices of (n, 3) points as a (3, n) uint64 stack; `out` holds
-    a (3, n) float64 array to scale them in and a (3, n) uint64 one for them."""
-    lo = bbox[:3].astype(np.float64)
-    hi = bbox[3:].astype(np.float64)
-    extent = hi - lo
-    safe = np.where(extent > 0, extent, 1.0)
+    a (3, n) float64 array to scale them in and a (3, n) uint64 one for them.
+
+    Points are read as axis rows, contiguous when they are generated.  An
+    offset from the low corner is divided once by the cell size extent /
+    2**q: a power-of-two scaling is exact, so the cells are those of the
+    offset over the extent, times 2**q, and the box is t in [0, 2**q].
+    """
+    lo, _, safe = _box_constants(bbox)
+    top = float(1 << q)
     n = len(points)
     t, cells = (np.empty((3, n)), np.empty((3, n), dtype=np.uint64)) if out is None else out
-    t[...] = points.T  # axis rows keep numpy's inner loops long
-    t -= lo[:, None]
-    t /= safe[:, None]
-    if not (t.min() >= 0.0 and t.max() <= 1.0):
-        bad = int(np.argmin(((t >= 0.0) & (t <= 1.0)).all(axis=0)))
-        raise OutOfRangeError(
-            f"point {bad} at {points[bad]} outside coding bbox [{lo}, {hi}]"
-        )
-    t *= float(1 << q)
-    # t = 1, the box's max face, falls in the last cell: a clamp at 2**q - 1
+    np.subtract(points.T, lo, out=t)
+    t /= safe / top
+    if not (t.min() >= 0.0 and t.max() <= top):
+        bad = int(np.argmin(((t >= 0.0) & (t <= top)).all(axis=0)))
+        raise OutOfRangeError(f"point {bad} at {points[bad]} outside coding bbox"
+                              f" [{bbox[:3].astype(np.float64)}, {bbox[3:].astype(np.float64)}]")
+    # t = 2**q, the box's max face, falls in the last cell: a clamp at 2**q - 1
     # before the cast truncates gives the cells a clamp after it would
-    np.minimum(t, float((1 << q) - 1), out=t)
+    np.minimum(t, top - 1.0, out=t)
     cells.view(np.int64)[...] = t  # numpy converts to and from int64 about twice as fast
     return cells
 
@@ -223,14 +236,10 @@ def _quantize(points: np.ndarray, bbox: np.ndarray, q: int, out=None) -> np.ndar
 def _cell_centers(cells: np.ndarray, bbox: np.ndarray, q: int, out=None) -> np.ndarray:
     """Cell centers of a (3, n) stack of cell indices, as (3, n) axis rows,
     in the float64 array `out` if given."""
-    lo = bbox[:3].astype(np.float64)
-    hi = bbox[3:].astype(np.float64)
-    cell = (hi - lo) / float(1 << q)
-    t = np.empty(cells.shape) if out is None else out
-    t[...] = cells.view(np.int64)
-    t += 0.5
-    t *= cell[:, None]
-    t += lo[:, None]
+    lo, extent, _ = _box_constants(bbox)
+    t = np.add(cells.view(np.int64), 0.5, out=out)
+    t *= extent / float(1 << q)
+    t += lo
     return t
 
 

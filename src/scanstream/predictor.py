@@ -142,9 +142,15 @@ def predict(model: RateModel, q: float, c: float, n: float) -> float:
     return float(_evaluate(model, q, c, n))
 
 
+# q going down, then c going up: the entries at or above a q floor are a prefix
+_GRID_QS, _GRID_CS = (a.ravel() for a in np.meshgrid(
+    np.arange(Q_MAX, Q_MIN - 1, -1), np.arange(C_MIN, C_MAX + 1), indexing="ij"))
+_GRID_QS.flags.writeable = _GRID_CS.flags.writeable = False  # every grid shares them
+
+
 @dataclass
 class ConfigGrid:
-    """All 170 (q, c) pairs with predicted bitrates for a fixed point count."""
+    """All 170 (q, c) pairs, q going down, then c going up, predicted for one point count."""
 
     n_points: int
     qs: np.ndarray  # (170,)
@@ -152,17 +158,16 @@ class ConfigGrid:
     predicted_bps: np.ndarray  # (170,)
 
     def __post_init__(self) -> None:
-        expected = (Q_MAX - Q_MIN + 1) * (C_MAX - C_MIN + 1)
-        if not (len(self.qs) == len(self.cs) == len(self.predicted_bps) == expected):
-            raise ValueError(f"grid must cover exactly {expected} entries")
+        if not (np.array_equal(self.qs, _GRID_QS) and np.array_equal(self.cs, _GRID_CS)
+                and len(self.predicted_bps) == len(_GRID_QS)
+                and not np.isnan(self.predicted_bps).any()):
+            raise ValueError(f"grid must list all {len(_GRID_QS)} (q, c) pairs, q going down,"
+                             " then c going up, each with a prediction that is not NaN")
 
 
 def build_grid(model: RateModel, n_points: int) -> ConfigGrid:
-    qs, cs = np.meshgrid(np.arange(Q_MIN, Q_MAX + 1), np.arange(C_MIN, C_MAX + 1), indexing="ij")
-    qs = qs.ravel()
-    cs = cs.ravel()
-    return ConfigGrid(n_points=n_points, qs=qs, cs=cs,
-                      predicted_bps=_evaluate(model, qs, cs, n_points))
+    return ConfigGrid(n_points=n_points, qs=_GRID_QS, cs=_GRID_CS,
+                      predicted_bps=_evaluate(model, _GRID_QS, _GRID_CS, n_points))
 
 
 def select_from_grid(grid: ConfigGrid, r_trg: float, floor: ConfigFloor,
@@ -170,13 +175,13 @@ def select_from_grid(grid: ConfigGrid, r_trg: float, floor: ConfigFloor,
     """Grid entry whose prediction is closest to r_trg, honoring the q floor,
     as a config that codes in a tight bbox or the default one.
 
-    Ties prefer larger q (finer geometry), then smaller c (cheaper encode).
+    Ties prefer larger q (finer geometry), then smaller c (cheaper encode):
+    the first closest entry of the grid's prefix at or above the floor.
     """
     if not (np.isfinite(r_trg) and r_trg > 0):
         raise SelectionError(f"target bitrate must be positive and finite, got {r_trg}")
-    idx = np.flatnonzero(grid.qs >= floor.min_q)
-    diff = np.abs(grid.predicted_bps[idx] - r_trg)
-    best = idx[np.lexsort((grid.cs[idx], -grid.qs[idx], diff))[0]]
+    allowed = (Q_MAX - floor.min_q + 1) * (C_MAX - C_MIN + 1)
+    best = int(np.argmin(np.abs(grid.predicted_bps[:allowed] - r_trg)))
     return CompressionConfig(q=int(grid.qs[best]), c=int(grid.cs[best]), tight_bbox=tight_bbox)
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,6 +136,7 @@ def calibrate_detailed(
     pairs = [(q, c) for q in qs for c in cs]
     tasks = [(scan, qs, cs, scan_hz, tight_bbox) for scan in corpus]
     if n_jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # noqa: PLC0415  (only a pool loads it)
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             per_scan = list(pool.map(_sweep_scan, tasks))
     else:
@@ -149,22 +149,11 @@ def calibrate_detailed(
     stats = np.stack(per_scan, axis=2).reshape(len(pairs), len(corpus), 4)
     agg = stats.mean(axis=1) if aggregate == "mean" else stats.max(axis=1)
     rates = stats[:, :, 3]
-    rows = [
-        TableRow(
-            q=q,
-            c=c,
-            mean_ptp=float(a[0]),
-            max_ptp=float(a[1]),
-            l2_norm=float(a[2]),
-            measured_bps=float(m),
-        )
-        for (q, c), a, m in zip(pairs, agg, rates.mean(axis=1))
-    ]
-    samples = [
-        RateSample(q=q, c=c, n_points=n_points, measured_bps=float(bps))
-        for (q, c), r in zip(pairs, rates)
-        for bps in r
-    ]
+    # positional fields from plain floats: 170 rows and a sample per scan each
+    rows = [TableRow(q, c, *a[:3], m)
+            for (q, c), a, m in zip(pairs, agg.tolist(), rates.mean(axis=1).tolist())]
+    samples = [RateSample(q, c, n_points, bps)
+               for (q, c), r in zip(pairs, rates.tolist()) for bps in r]
     table = ResidualTable(
         rows=rows, scan_hz=scan_hz, aggregate=aggregate, corpus_id=_corpus_fingerprint(corpus)
     )
@@ -202,17 +191,13 @@ def min_rate(
 
 
 def write_table(path, table: ResidualTable) -> None:
+    """The header line, then the rows as csv.writer writes them: \\r\\n after each."""
+    lines = [f"# {TABLE_FORMAT} scan_hz={table.scan_hz!r} aggregate={table.aggregate}"
+             f" corpus={table.corpus_id or 'unknown'}\n", ",".join(_COLUMNS) + "\r\n"]
+    lines += [f"{r.q},{r.c},{r.mean_ptp!r},{r.max_ptp!r},{r.l2_norm!r},{r.measured_bps!r}\r\n"
+              for r in table.rows]
     with open(path, "w", newline="") as fh:
-        fh.write(
-            f"# {TABLE_FORMAT} scan_hz={table.scan_hz!r} aggregate={table.aggregate}"
-            f" corpus={table.corpus_id or 'unknown'}\n"
-        )
-        writer = csv.writer(fh)
-        writer.writerow(_COLUMNS)
-        for r in table.rows:
-            writer.writerow(
-                [r.q, r.c, repr(r.mean_ptp), repr(r.max_ptp), repr(r.l2_norm), repr(r.measured_bps)]
-            )
+        fh.write("".join(lines))
 
 
 def read_table(path) -> ResidualTable:

@@ -91,27 +91,28 @@ class ScanGenerator:
             )
 
     def _wall_radius(self, pos: tuple[float, float]) -> np.ndarray:
-        # every harmonic's phase at once, each computed as sin(base + kx x + ky y)
-        phase = self._harmonics + (self._kx * pos[0])[:, None]
+        # r0, then each harmonic's sin(base + kx x + ky y) times its amplitude
+        terms = np.empty((self.N_HARMONICS + 1, len(self._azim)))
+        terms[0] = self._r0
+        phase = np.add(self._harmonics, (self._kx * pos[0])[:, None], out=terms[1:])
         phase += (self._ky * pos[1])[:, None]
-        terms = np.sin(phase, out=phase)
-        terms *= self._amps[:, None]
-        r = np.full_like(self._azim, self._r0)
-        for term in terms:  # summed in harmonic order
-            r += term
-        return np.clip(r, 4.0, self.profile.max_range - 1.0)
+        np.sin(phase, out=phase)
+        phase *= self._amps[:, None]
+        # r0 as a row, not `initial`: even a one-column reduce then adds it first
+        r = np.add.reduce(terms, axis=0)
+        return np.clip(r, 4.0, self.profile.max_range - 1.0, out=r)
 
     def generate(self, t: float, scan_id: int, out: Workspace | None = None) -> PointCloudScan:
-        """The scan at time t, made in `out`, a Workspace for this profile that
-        the caller owns, if given: the next generate into `out` overwrites it."""
+        """The scan at time t, its points axis rows (see Workspace), made in
+        `out`, a Workspace for this profile that the caller owns, if given:
+        the next generate into `out` overwrites it."""
         p = self.profile
         n = p.n_points
-        rows, points = (np.empty((2, n)), np.empty((n, 3))) if out is None else (
-            out.sized(n).rows, out.points)
-        rng_range, noise = (row.reshape(p.rings, p.azimuth_steps) for row in rows[:2])
+        points = np.empty((3, n)).T if out is None else out.sized(n).points
+        # y's row holds the noise and z's the range grid until they are made from them
+        x, noise, rng_range = (row.reshape(p.rings, p.azimuth_steps) for row in points.T)
         pos = (self.velocity[0] * t, self.velocity[1] * t)
-        rng_range[...] = self._wall_radius(pos)
-        rng_range /= self._cos_e  # slant range to the wall
+        np.divide(self._wall_radius(pos), self._cos_e, out=rng_range)  # slant range to the wall
         np.minimum(rng_range, self._slant_ground, out=rng_range)
         np.clip(rng_range, p.min_range, p.max_range, out=rng_range)
         if p.noise_sigma > 0:
@@ -121,11 +122,10 @@ class ScanGenerator:
             np.clip(noise, -3.0 * p.noise_sigma, 3.0 * p.noise_sigma, out=noise)
             rng_range += noise
             np.clip(rng_range, p.min_range, p.max_range, out=rng_range)
-        pts = points.reshape(p.rings, p.azimuth_steps, 3)
         across = np.multiply(rng_range, self._cos_e, out=noise)  # horizontal range, for x and y
-        np.multiply(across, self._cos_a, out=pts[:, :, 0])
-        np.multiply(across, self._sin_a, out=pts[:, :, 1])
-        np.multiply(rng_range, self._sin_e, out=pts[:, :, 2])
+        np.multiply(across, self._cos_a, out=x)
+        np.multiply(across, self._sin_a, out=across)  # y
+        np.multiply(rng_range, self._sin_e, out=rng_range)  # z
         return PointCloudScan(points=points, scan_id=scan_id, timestamp=float(t))
 
 

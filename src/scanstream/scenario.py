@@ -19,8 +19,6 @@ import os
 from dataclasses import dataclass, field, fields
 from typing import get_type_hints
 
-import yaml
-
 from .codec import CompressionConfig
 from .congestion import ControlParams
 from .netem import LinkConfig, read_trace
@@ -188,6 +186,7 @@ def _build_bounds(raw) -> RateBounds:
 
 
 def load_scenario(path) -> Scenario:
+    import yaml  # noqa: PLC0415  (only a scenario file loads it)
     if not os.path.exists(path):
         raise ScenarioError(f"scenario file does not exist: {path}")
     with open(path) as fh:

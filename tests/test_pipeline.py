@@ -3,6 +3,9 @@
 import dataclasses
 import gc
 import math
+import os
+import subprocess
+import sys
 import weakref
 from collections import Counter
 
@@ -17,6 +20,7 @@ from conftest import (
     probe_pacing,
     tiny_mtu_scenario,
 )
+import scanstream
 from scanstream import bitpack, codec, pipeline, transport
 from scanstream.congestion import ControlParams
 from scanstream.metrics import read_metrics
@@ -393,3 +397,14 @@ def test_each_adaptive_scan_builds_and_checks_one_config(bounds, model, monkeypa
     s = run_scenario(scenario, model=model).summary
     assert s.conservation_ok and len(built) == s.scans_generated
     assert all(config.tight_bbox for config in built)
+
+
+def test_importing_the_pipeline_loads_no_process_pool_and_no_yaml():
+    # each is loaded only where it is used: a process pool by a calibration
+    # with n_jobs > 1, PyYAML by load_scenario
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scanstream.__file__)))
+    code = ("import sys, scanstream.pipeline; "
+            "print(sorted({'concurrent.futures.process', 'yaml'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from conftest import SCAN_HZ, SCENE_SEED
 
 from scanstream.codec import C_MAX, C_MIN, Q_MAX, Q_MIN, sweep
@@ -135,6 +137,54 @@ def test_select_tie_breaks_to_higher_q_then_lower_c():
     # equidistant between 3.0 and 4.0: prefer the larger-q side
     cfg = select_from_grid(grid, 3.5e6, ConfigFloor(min_q=8))
     assert (cfg.q, cfg.c) == (14, 8)
+
+
+def reference_select(grid, r_trg, floor):
+    """The pick as a lexsort of the entries at or above the floor: closest
+    first, then larger q, then smaller c, whatever the grid's order."""
+    idx = np.flatnonzero(grid.qs >= floor.min_q)
+    diff = np.abs(grid.predicted_bps[idx] - r_trg)
+    best = idx[np.lexsort((grid.cs[idx], -grid.qs[idx], diff))[0]]
+    return int(grid.qs[best]), int(grid.cs[best])
+
+
+# few distinct rates, so exact ties and targets halfway between two rates are common
+RATES = [1.0, 1.5e6, 2.0e6, 2.5e6, 3.0e6, 4.0e6, 9.9e6]
+
+
+@given(
+    rates=st.lists(st.sampled_from(RATES), min_size=170, max_size=170),
+    targets=st.lists(st.sampled_from(RATES + [1.75e6, 2.25e6, 3.5e6, 2.0e7])
+                     | st.floats(1.0, 2.0e7), min_size=1, max_size=8),
+)
+def test_select_is_the_lexsort_pick_at_every_floor(rates, targets):
+    base = build_grid(fit(synth_samples(), 10.0), 4096)
+    grid = ConfigGrid(n_points=4096, qs=base.qs, cs=base.cs, predicted_bps=np.array(rates))
+    for min_q in range(Q_MIN, Q_MAX + 1):
+        floor = ConfigFloor(min_q=min_q)
+        for r_trg in targets:
+            cfg = select_from_grid(grid, r_trg, floor)
+            assert (cfg.q, cfg.c) == reference_select(grid, r_trg, floor)
+
+
+def test_grid_lists_q_down_then_c_up():
+    grid = build_grid(fit(synth_samples(), 10.0), 4096)
+    pairs = list(zip(grid.qs.tolist(), grid.cs.tolist()))
+    assert pairs == [(q, c) for q in range(Q_MAX, Q_MIN - 1, -1) for c in range(C_MIN, C_MAX + 1)]
+
+
+def test_grid_rejects_another_order_or_a_nan_prediction():
+    base = build_grid(fit(synth_samples(), 10.0), 4096)
+    pred = base.predicted_bps
+    for qs, cs in [(base.qs[::-1], base.cs[::-1]),  # q going up
+                   (base.qs, base.cs[::-1]),  # c going down
+                   (base.qs[:-1], base.cs[:-1])]:  # an entry short
+        with pytest.raises(ValueError, match="q going down"):
+            ConfigGrid(n_points=4096, qs=qs, cs=cs, predicted_bps=pred[: len(qs)])
+    with pytest.raises(ValueError, match="not NaN"):
+        ConfigGrid(n_points=4096, qs=base.qs, cs=base.cs, predicted_bps=np.append(pred[1:], np.nan))
+    with pytest.raises(ValueError, match="170"):
+        ConfigGrid(n_points=4096, qs=base.qs, cs=base.cs, predicted_bps=pred[:-1])
 
 
 def test_select_respects_floor():

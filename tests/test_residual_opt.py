@@ -1,3 +1,5 @@
+import csv
+import io
 from collections import Counter
 
 import numpy as np
@@ -43,10 +45,15 @@ def brute_force_min_rate(table, epsilon, metric):
 def test_table_covers_grid_and_fingerprint(small_table):
     assert len(small_table.rows) == 170
     assert small_table.aggregate == "mean"
-    assert small_table.corpus_id.startswith("4x512-")
+    assert small_table.corpus_id == "4x512-6627369a4164"
     row = small_table.row(16, 3)
     assert (row.q, row.c) == (16, 3)
     assert row.measured_bps > 0
+
+
+def test_the_suites_corpus_keeps_its_fingerprint(table):
+    # the hash of each scan's id and (n, 3) C-order points, whatever their layout
+    assert table.corpus_id == "60x7168-d1b9c39541e0"
 
 
 def test_calibrate_empty_corpus_raises():
@@ -196,6 +203,21 @@ def test_table_io_roundtrip(tmp_path, small_table):
         assert (a.q, a.c) == (b.q, b.c)
         assert b.mean_ptp == a.mean_ptp
         assert b.measured_bps == a.measured_bps
+
+
+def test_table_bytes_are_what_csv_writer_wrote(tmp_path, small_table):
+    # the header line, then one csv.writer row per line, floats as repr
+    fh = io.StringIO(newline="")
+    fh.write(f"# scanstream-residual-table-v1 scan_hz={small_table.scan_hz!r} aggregate=mean"
+             f" corpus={small_table.corpus_id}\n")
+    writer = csv.writer(fh)
+    writer.writerow(["q", "c", "mean_ptp", "max_ptp", "l2_norm", "measured_bps"])
+    for r in small_table.rows:
+        writer.writerow([r.q, r.c, repr(r.mean_ptp), repr(r.max_ptp), repr(r.l2_norm),
+                         repr(r.measured_bps)])
+    path = tmp_path / "table.csv"
+    write_table(path, small_table)
+    assert path.read_bytes() == fh.getvalue().encode()
 
 
 def test_read_table_rejects_wrong_header(tmp_path, small_table):
