@@ -2,11 +2,11 @@
 
 Wires scan source -> encoder -> sender -> link -> receiver -> feedback ->
 controller in one event loop driven by simulated time. All randomness is
-seeded, all state transitions happen inside event handlers, and events are
-handled in (time, priority) order, so a scenario replays byte-for-byte.
-Each kind of event has its own priority, and no two events of one kind are
-ever compared: the heap holds at most one of each, and of the arrivals and
-the reports only the heads are.
+seeded, all state transitions happen inside event handlers, and each
+handler sees the state that (time, priority) order gives it, so a scenario
+replays byte-for-byte.  Each kind of event has its own priority, and no two
+events of one kind are ever compared: the heap holds at most one of each,
+and of the arrivals and the reports only the heads are.
 
 Events are (t, prio, handler, payload) tuples in three queues.
 Arrivals sit in a deque in due order, because FIFO service never ends a
@@ -16,10 +16,14 @@ clock plus that delay and the clock never goes back.  The scan, metrics
 tick, feedback timer and one pace wake sit in a heap of a few entries.
 The loop takes the smallest of the three heads: one heap's order.
 
-A pace wake sends every packet due before the earliest of the heap's head,
-the feedback deque's head, now + prop_delay (an arrival's report is due no
-sooner) and the run's end.  Nothing else touches the sender or the link till
-then, so the train enters the link in send order as one wake per packet would.
+The sender runs in epochs.  A pace wake or a report starts one, and it
+takes the sender through every report and wake due before the earliest of
+now + prop_delay, the heap's head and the run's end, in (time, priority)
+order; each train runs to the next of them.  Arrivals touch only the
+receiver and the scan ledger, never the sender, the controller or the
+link, and a report an arrival makes from now on is due no sooner than
+now + prop_delay.  So the loop handles the window's arrivals afterwards,
+and every handler still sees what one event at a time would show it.
 
 Nothing downstream of the encoder reads a unit's bytes, only their count,
 so each scan is sized by `measure`, never packed, and the transport carries
@@ -230,22 +234,50 @@ class _Runner:
             slot = enqueue(pkt, pkt.send_time)
             if slot is not None:
                 arrive((slot[1], _ARRIVAL, on_arrival, slot[0]))
-        # Each block reason has one waker: a pacing block is cleared by the
-        # pace timer armed here, a cwnd block by feedback, an idle sender by
-        # the next scan.  Only a pace wake paces a sender blocked on pacing,
-        # so at most one pace event is in the heap; no packet leaves before
-        # the next send time, so the wake is never early.
-        if self.sender.blocked_reason == "pacing":
-            self._push(self.sender.next_send_opportunity(), _PACE, self._on_pace)
 
     def _on_pace(self, _payload) -> None:
-        until = min(self.now + self.link.prop_delay, self._end)
-        heap, feedback = self._heap, self._feedback
-        if heap and heap[0][0] < until:
-            until = heap[0][0]
-        if feedback and feedback[0][0] < until:
-            until = feedback[0][0]
-        self._pace(until)
+        self._epoch(None, False)
+
+    def _on_feedback(self, report: FeedbackReport) -> None:
+        # a sender blocked on pacing has its wake in the heap: at the head
+        # this epoch may reach it, behind the head it is past the epoch
+        armed = self.sender.blocked_reason == "pacing"
+        if armed and self._heap[0][1] == _PACE:
+            heapq.heappop(self._heap)
+            armed = False
+        self._epoch(report, armed)
+
+    def _epoch(self, report: FeedbackReport | None, armed: bool) -> None:
+        """Take the sender through every report and wake due before its next input."""
+        heap, feedback, sender, cc = self._heap, self._feedback, self.sender, self.cc
+        bound = min(self.now + self.link.prop_delay, self._end)
+        if heap and heap[0][0] < bound:
+            bound = heap[0][0]
+        while True:
+            due = feedback[0][0] if feedback and feedback[0][0] < bound else bound  # next input
+            if report is not None:
+                now = self.now
+                # settle first: on_feedback's growth test reads the settled value
+                sender.reconcile_inflight(cc, report.highest_acked_seq)
+                try:
+                    on_feedback(cc, self.ccp, report, now)
+                except FeedbackProtocolError as e:
+                    raise RunError(f"feedback protocol violation at t={now:.6f}: {e}") from e
+                if not (cc.r_min <= cc.r_trg <= cc.r_max):
+                    raise RunError(f"r_trg {cc.r_trg} left [{cc.r_min}, {cc.r_max}] at t={now:.6f}")
+            if report is None or sender.blocked_reason == "cwnd":
+                self._pace(due)
+            wake = sender.next_send_opportunity()  # None unless blocked on pacing
+            if wake is not None and wake < due:  # a report at the wake's instant goes first
+                self.now, report = wake, None
+            elif due < bound:
+                self.now, report = due, feedback.popleft()[3]
+            else:
+                break
+        # Each block reason has one waker: pacing this wake, cwnd a report, idle
+        # the next scan.  So the heap holds at most one pace event, never early.
+        if wake is not None and not armed:
+            self._push(wake, _PACE, self._on_pace)
 
     def _on_scan(self, k: int) -> None:
         t = self.now
@@ -268,6 +300,8 @@ class _Runner:
             self.summary.scans_dropped_sender += 1
         if self.sender.blocked_reason == "idle":  # a blocked sender has its own waker
             self._pace(t)
+            if self.sender.blocked_reason == "pacing":
+                self._push(self.sender.next_send_opportunity(), _PACE, self._on_pace)
         if self.adaptive:
             r_cmd = min(self.cc.r_trg, self.r_ceiling)
             self._rate_err_sum += abs(bits * self.sc.scan_hz - r_cmd) / r_cmd
@@ -312,21 +346,13 @@ class _Runner:
         due = self.now + self.link.prop_delay
         self._feedback.append((due, _FEEDBACK, self._on_feedback, report))
 
-    def _on_feedback(self, report: FeedbackReport) -> None:
-        cc = self.cc
-        # settle first: on_feedback's growth test reads the settled value
-        self.sender.reconcile_inflight(cc, report.highest_acked_seq)
-        try:
-            on_feedback(cc, self.ccp, report, self.now)
-        except FeedbackProtocolError as e:
-            raise RunError(f"feedback protocol violation at t={self.now:.6f}: {e}") from e
-        if not (cc.r_min <= cc.r_trg <= cc.r_max):
-            raise RunError(f"r_trg {cc.r_trg} left [{cc.r_min}, {cc.r_max}] at t={self.now:.6f}")
-        if self.sender.blocked_reason == "cwnd":
-            self._pace(self.now)
-
     def _on_fb_timer(self, _payload) -> None:
-        self._emit_feedback()
+        # after the first, a report with no arrival since the last equals it
+        # and moves nothing at the sender: it is counted, not sent
+        if self.receiver.packets_since_report or not self.summary.feedback_reports:
+            self._emit_feedback()
+        else:
+            self.summary.feedback_reports += 1
         self._push(self.now + self.sc.transport.feedback_interval, _FB_TIMER, self._on_fb_timer)
 
     def _enc_bitrate(self) -> float:

@@ -225,6 +225,12 @@ def test_pacing_work_per_packet(name, fixture, limit, request):
     assert len(set(probe.wake_instants)) == len(probe.wake_instants)
 
 
+def test_epochs_dispatch_few_pace_events(tiny_mtu_run):
+    # an epoch takes the sender through every wake due within prop_delay,
+    # so the loop dispatches a pace event per epoch, not one per train
+    assert len(PACE_PROBES["tiny-mtu"].wake_instants) <= 0.1 * tiny_mtu_run.summary.packets_sent
+
+
 @pytest.mark.parametrize("name, fixture", [
     ("tiny-mtu", "tiny_mtu_run"),
     ("step-adaptive", "adaptive_run"),
@@ -277,19 +283,19 @@ def test_feedback_path_adds_prop_delay(bounds, model, monkeypatch):
     # order, exactly prop_delay after the receiver made it
     made, landed = [], []
     make_feedback = DatagramReceiver.make_feedback
-    on_feedback = _Runner._on_feedback
+    apply_report = pipeline.on_feedback
 
     def recorded_make_feedback(self, now):
         report = make_feedback(self, now)
         made.append((now, report))
         return report
 
-    def recorded_on_feedback(self, report):
-        landed.append((self.now, report))
-        return on_feedback(self, report)
+    def recorded_on_feedback(cc, ccp, report, now):
+        landed.append((now, report))
+        return apply_report(cc, ccp, report, now)
 
     monkeypatch.setattr(DatagramReceiver, "make_feedback", recorded_make_feedback)
-    monkeypatch.setattr(_Runner, "_on_feedback", recorded_on_feedback)
+    monkeypatch.setattr(pipeline, "on_feedback", recorded_on_feedback)
     scenario = make_scenario(bounds, duration=2.0)
     scenario = dataclasses.replace(scenario, link=dataclasses.replace(scenario.link, prop_delay=0.015))
     run_scenario(scenario, model=model)
@@ -304,10 +310,11 @@ def test_feedback_path_adds_prop_delay(bounds, model, monkeypatch):
 def test_feedback_at_a_pace_instant_does_not_stall_the_sender(bounds, model, monkeypatch):
     # A report lands exactly on a pending pace wake and is handled first.
     # The sender is blocked on pacing, whose only waker is the timer, so
-    # the wake must still fire and arm its successor, or the pace timer is
+    # the wake must still send and arm its successor, or the pace timer is
     # gone for good.
     on_scan = _Runner._on_scan
-    collisions = []
+    pace_and_send = DatagramSender.pace_and_send
+    collisions, sent = [], []
 
     def on_scan_then_feedback(self, k):
         on_scan(self, k)
@@ -318,13 +325,19 @@ def test_feedback_at_a_pace_instant_does_not_stall_the_sender(bounds, model, mon
             report = self.receiver.make_feedback(self.now)
             self._push(wake, _FEEDBACK, self._on_feedback, report)
 
+    def recorded_pace_and_send(self, *args):
+        packets = pace_and_send(self, *args)
+        sent.extend(pkt.send_time for pkt in packets)
+        return packets
+
     monkeypatch.setattr(_Runner, "_on_scan", on_scan_then_feedback)
-    with probe_pacing() as probe:
+    monkeypatch.setattr(DatagramSender, "pace_and_send", recorded_pace_and_send)
+    with probe_pacing():
         result = run_scenario(make_scenario(bounds, duration=1.0), model=model)
     (wake,) = collisions
-    assert wake in probe.wake_instants
-    # the sender's own timer keeps running past the collision
-    assert sum(t > wake for t in probe.wake_instants) > 100
+    assert wake in sent
+    # the sender keeps sending past the collision
+    assert sum(t > wake for t in sent) > 100
     assert result.summary.scans_delivered >= 8
 
 
